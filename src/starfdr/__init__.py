@@ -25,7 +25,6 @@ from .distmodel import (
     normal_tail,
     normal_tail_inv,
     sample_trial,
-    trial_rng,
 )
 from .estimators import (
     DegenerateSpacingError,
@@ -80,7 +79,6 @@ from .oracleopt import (
     measure_alt_heterogeneity,
     optimal_region,
     pooled_alt_cdf,
-    region_metrics,
 )
 from .procedures import (
     Calibration,

@@ -307,7 +307,3 @@ def sample_trial(
         labels.append(is_null)
     return LabeledSample(pvals, labels)
 
-
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Derive the per-trial generator stream from (master seed, trial index)."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, trial_index]))

@@ -61,14 +61,16 @@ def spacing_estimate(pvalues, s: int) -> NullProportionEstimate:
 
 
 def default_spacing_schedule(m: int) -> int:
-    """Spacing parameter s = max(1, round(m^0.7)).
+    """Spacing parameter s = max(1, min(round(m^0.7), (m - 1) // 2)).
 
     Grows faster than log(m) and slower than m, as the estimator's
-    consistency conditions require.
+    consistency conditions require.  The cap keeps m >= 2s + 1, which
+    spacing_estimate needs; it binds only for m <= 12.  Nodes with m <= 2
+    still cannot be estimated (s = 1 needs 3 p-values).
     """
     if m < 1:
         raise ValueError("m must be positive")
-    return max(1, round(m**0.7))
+    return max(1, min(round(m**0.7), (m - 1) // 2))
 
 
 def oracle_estimate(r0: float) -> NullProportionEstimate:

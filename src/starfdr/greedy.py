@@ -54,30 +54,35 @@ class CellDensity:
     h: float
 
 
-def cell_densities(grid: IntervalGrid, sample: LabeledSample) -> list[CellDensity]:
-    """Empirical density h = count/(epsilon*m) for every candidate cell.
+def node_cells(p, L: float, K: int):
+    """Bin one node's p-values (all in [0, 1]) into its K cells of length L.
 
-    Cells are half-open (a, b]: a p-value exactly at a right endpoint
-    belongs to that cell; p-values above K*L belong to no cell.
+    Cells are half-open ((j-1)L, jL]: a p-value exactly at a right endpoint
+    belongs to that cell.  Returns (j, counts, ranking): each p-value's
+    1-based cell j = ceil(p/L), which is 0 for p = 0 and K+1 for p above
+    K*L (both in no cell); the counts of cells 1..K; and the cells 1..K
+    ordered by count descending, then cell ascending.
     """
+    j = np.ceil(np.asarray(p, dtype=float) / L).astype(int)
+    counts = np.bincount(j, minlength=K + 2)[1 : K + 1]
+    ranking = np.argsort(-counts, kind="stable") + 1
+    return j, counts, ranking
+
+
+def cell_densities(grid: IntervalGrid, sample: LabeledSample) -> list[CellDensity]:
+    """Empirical density h = count/(epsilon*m) for every candidate cell,
+    with cells as in node_cells."""
     if grid.n_nodes != sample.n_nodes:
         raise ValueError("grid and sample node counts differ")
-    m = sample.m
+    scale = grid.epsilon * sample.m
     out = []
     for i in range(grid.n_nodes):
         K = int(grid.counts[i])
         if K == 0:
             continue
-        L = float(grid.lengths[i])
-        p = sample.pvalues[i]
-        # cell index j = ceil(p / L); right endpoints land in their own cell
-        j = np.ceil(p / L).astype(int)
-        valid = (j >= 1) & (j <= K)
-        counts = np.bincount(j[valid], minlength=K + 1)[1:]
-        scale = grid.epsilon * m
-        for cell in range(1, K + 1):
-            c = int(counts[cell - 1])
-            out.append(CellDensity(i, cell, c, c / scale))
+        _, counts, _ = node_cells(sample.pvalues[i], float(grid.lengths[i]), K)
+        out.extend(CellDensity(i, cell, c, c / scale)
+                   for cell, c in enumerate(counts.tolist(), start=1))
     return out
 
 
@@ -104,7 +109,9 @@ class IntervalSelection:
         return frozenset(self.cells)
 
 
-def _select_top(densities, alpha: float) -> IntervalSelection:
+def greedy_select(densities, alpha: float) -> IntervalSelection:
+    """Batch form of the round-based aggregation: top-M cells by density,
+    ties broken by (node, cell) ascending."""
     order = sorted(densities, key=lambda c: (-c.h, c.node, c.cell))
     mstar = select_mstar([c.h for c in order], alpha)
     # never select empty cells: rejecting a zero-density interval adds no
@@ -115,14 +122,6 @@ def _select_top(densities, alpha: float) -> IntervalSelection:
     total = sum(c.h for c in chosen)
     fdr_hat = mstar / total if mstar else 0.0
     return IntervalSelection(tuple((c.node, c.cell) for c in chosen), mstar, fdr_hat)
-
-
-def greedy_select(densities, alpha: float) -> IntervalSelection:
-    """Batch form of the round-based aggregation: top-M cells by density,
-    ties broken by (node, cell) ascending."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    return _select_top(densities, alpha)
 
 
 def true_cell_densities(net: NetworkModel, grid: IntervalGrid) -> list[CellDensity]:
@@ -146,7 +145,7 @@ def oracle_interval_set(net: NetworkModel, epsilon: float, alpha: float):
     Returns (grid, selection).
     """
     grid = build_grid(epsilon, net.q, net.r0)
-    return grid, _select_top(true_cell_densities(net, grid), alpha)
+    return grid, greedy_select(true_cell_densities(net, grid), alpha)
 
 
 def selection_regions(grid: IntervalGrid, selection: IntervalSelection, n_nodes: int):

@@ -23,16 +23,17 @@ from .estimators import (
     storey_estimate,
 )
 from .greedy import (
+    CellDensity,
     IntervalSelection,
     build_grid,
-    cell_densities,
     greedy_select,
-    selection_regions,
+    node_cells,
 )
 from .procedures import (
     R0_STAR_CLAMP,
     ConfusionMetrics,
     RejectionOutcome,
+    _empty_outcome,
     adaptive_bh,
     bh_procedure,
     beta_slope,
@@ -161,7 +162,7 @@ def run_no_comm(sample: LabeledSample, alpha: float, estimator="spacing") -> Pro
     outcomes = []
     for p, est in zip(sample.pvalues, estimates):
         if est is None or est.value == 0.0:
-            outcomes.append(RejectionOutcome(np.empty(0, dtype=int), 0, 0.0))
+            outcomes.append(_empty_outcome())
         else:
             outcomes.append(adaptive_bh(p, alpha, est))
     return _finish(outcomes, sample, transcript)
@@ -240,7 +241,7 @@ def run_proportion_matching(
     if m0_total >= m:
         transcript.termination = TERM_NO_REJECTIONS
         transcript.notes.append("all nodes estimate every hypothesis null")
-        outcomes = [RejectionOutcome(np.empty(0, dtype=int), 0, 0.0) for _ in sample.pvalues]
+        outcomes = [_empty_outcome() for _ in sample.pvalues]
         glob, per_node = confusion_metrics(outcomes, sample)
         return ProtocolResult(outcomes, glob, per_node, transcript)
 
@@ -252,7 +253,7 @@ def run_proportion_matching(
     outcomes = []
     for p, mi, m0, est in zip(sample.pvalues, m_per_node, m0_hats, estimates):
         if est is None or int(mi) == 0:
-            outcomes.append(RejectionOutcome(np.empty(0, dtype=int), 0, 0.0))
+            outcomes.append(_empty_outcome())
             continue
         # the node calibrates with the quantized proportion it sent, so the
         # N=1 fixed point (level == target) holds exactly on the wire values
@@ -262,25 +263,35 @@ def run_proportion_matching(
     return _finish(outcomes, sample, transcript)
 
 
-class _GreedyNode:
-    """Leaf-node state: its cells ranked by count desc, cell index asc."""
+def _greedy_cells(sample: LabeledSample, epsilon: float, estimator, transcript: Transcript):
+    """Every node's node_cells on its grid L_i = epsilon / (q_i * r0_i).
 
-    def __init__(self, node_id, counts):
-        order = sorted(range(len(counts)), key=lambda j: (-counts[j], j))
-        self.node_id = node_id
-        self.ranked = [(counts[j], j + 1) for j in order]  # (count, 1-based cell)
-        self.cursor = 0
+    The estimator is resolved and run at each node as in the protocol;
+    failures are noted in the transcript.  A node with no cells (empty,
+    failed or zero estimate, or cells longer than 1) comes back as None.
+    """
+    estimates = _estimate_all(sample, make_estimator(estimator), transcript)
+    m = sample.m
+    cells = []
+    for p, est in zip(sample.pvalues, estimates):
+        if len(p) == 0 or est is None or est.value == 0.0:
+            cells.append(None)
+            continue
+        grid = build_grid(epsilon, [len(p) / m], [est.value])
+        K = int(grid.counts[0])
+        cells.append(node_cells(p, float(grid.lengths[0]), K) if K else None)
+    return cells
 
-    def current(self):
-        """Count it would report now, or None when exhausted."""
-        if self.cursor >= len(self.ranked):
-            return None
-        return self.ranked[self.cursor][0]
 
-    def pop_cell(self) -> int:
-        count, cell = self.ranked[self.cursor]
-        self.cursor += 1
-        return cell
+def _ranked_counts(cells):
+    """Per node, its cell counts in rank order; [] for a cell-less node."""
+    # node = (j, counts, ranking) from node_cells
+    return [[] if node is None else node[1][node[2] - 1].tolist() for node in cells]
+
+
+def _next_report(ranked, cursor, i) -> int:
+    """Count node i reports next: its next-best cell's, or -1 once exhausted."""
+    return ranked[i][cursor[i]] if cursor[i] < len(ranked[i]) else -1
 
 
 def run_greedy_aggregation(
@@ -307,68 +318,34 @@ def run_greedy_aggregation(
         raise ValueError("epsilon must be positive")
 
     transcript = Transcript()
-    estimator = make_estimator(estimator)
-    estimates = _estimate_all(sample, estimator, transcript)
     m = sample.m
-    m_per_node = sample.m_per_node
     n = sample.n_nodes
     count_bits = _bits_for_count(m + 1)
 
     # setup exchange: sizes up, total broadcast down (round 0)
-    for i, mi in enumerate(m_per_node):
+    for i, mi in enumerate(sample.m_per_node):
         transcript.add(0, UP, i, CENTER, (int(mi),), _bits_for_count(int(mi) + 1))
     transcript.add(0, BCAST, CENTER, CENTER, (m,), count_bits)
 
-    # local grids; estimator failure or zero size leaves a node cell-less
-    nodes = []
-    grid_lengths = np.zeros(n)
-    grid_counts = np.zeros(n, dtype=int)
-    for i in range(n):
-        mi = int(m_per_node[i])
-        est = estimates[i]
-        if mi == 0 or est is None or est.value == 0.0:
-            nodes.append(_GreedyNode(i, []))
-            continue
-        g = build_grid(epsilon, [mi / m], [est.value])
-        grid_lengths[i] = g.lengths[0]
-        grid_counts[i] = g.counts[0]
-        K = int(g.counts[0])
-        if K == 0:
-            nodes.append(_GreedyNode(i, []))
-            continue
-        L = float(g.lengths[0])
-        j = np.ceil(sample.pvalues[i] / L).astype(int)
-        valid = (j >= 1) & (j <= K)
-        counts = np.bincount(j[valid], minlength=K + 1)[1:]
-        nodes.append(_GreedyNode(i, counts.tolist()))
-
+    cells = _greedy_cells(sample, epsilon, estimator, transcript)
+    ranked = _ranked_counts(cells)
+    cursor = [0] * n  # rank of the cell each node hands out next
     scale = epsilon * m
     selected = []  # (node, cell) in selection order
     sum_h = 0.0  # running density total, accumulated in selection order
-    latest = [None] * n  # last reported value per node; None = exhausted (-1)
+    latest = [-1] * n  # last reported count per node; -1 = exhausted
     rounds = 0
     termination = None
 
     while True:
         rounds += 1
-        if rounds == 1:
-            for i in range(n):
-                cur = nodes[i].current()
-                if cur is None:
-                    transcript.add(1, UP, i, CENTER, (-1,), CONTROL_BITS)
-                else:
-                    transcript.add(1, UP, i, CENTER, (cur,), count_bits)
-                latest[i] = cur
-        else:
-            prev = selected[-1][0]
-            cur = nodes[prev].current()
-            if cur is None:
-                transcript.add(rounds, UP, prev, CENTER, (-1,), CONTROL_BITS)
-            else:
-                transcript.add(rounds, UP, prev, CENTER, (cur,), count_bits)
-            latest[prev] = cur
+        # round 1: every node reports; afterwards only the previous winner
+        for i in range(n) if rounds == 1 else (selected[-1][0],):
+            latest[i] = _next_report(ranked, cursor, i)
+            bits = CONTROL_BITS if latest[i] < 0 else count_bits
+            transcript.add(rounds, UP, i, CENTER, (latest[i],), bits)
 
-        live = [(latest[i], i) for i in range(n) if latest[i] is not None]
+        live = [(c, i) for i, c in enumerate(latest) if c >= 0]
         if not live:
             termination = TERM_ALL_REJECTED if selected else TERM_NO_REJECTIONS
             break
@@ -387,10 +364,9 @@ def run_greedy_aggregation(
             for i in range(n):
                 if i != winner:
                     transcript.add(1, DOWN, CENTER, i, (0,), CONTROL_BITS)
-        cell = nodes[winner].pop_cell()
-        selected.append((winner, cell))
+        selected.append((winner, int(cells[winner][2][cursor[winner]])))
+        cursor[winner] += 1
         sum_h = sum_h + best_count / scale
-        latest[winner] = nodes[winner].current()
 
     transcript.add(rounds, BCAST, CENTER, CENTER, (0,), CONTROL_BITS)
     transcript.rounds = rounds
@@ -399,22 +375,25 @@ def run_greedy_aggregation(
     selection = IntervalSelection(
         tuple(selected), len(selected), len(selected) / sum_h if selected else 0.0
     )
-    outcomes = _cells_to_outcomes(selected, grid_lengths, sample)
+    outcomes = _cells_to_outcomes(selected, cells)
     glob, per_node = confusion_metrics(outcomes, sample)
     return ProtocolResult(outcomes, glob, per_node, transcript, selection)
 
 
-def _cells_to_outcomes(selected, grid_lengths, sample: LabeledSample):
+def _cells_to_outcomes(selected, cells):
+    """Per-node outcomes that reject every p-value in a selected cell."""
+    picked = [[] for _ in cells]
+    for i, cell in selected:
+        picked[i].append(cell)
     outcomes = []
-    for i, p in enumerate(sample.pvalues):
-        cells = sorted(c for nd, c in selected if nd == i)
-        if not cells or grid_lengths[i] == 0.0:
-            outcomes.append(RejectionOutcome(np.empty(0, dtype=int), 0, 0.0))
+    for node, chosen in zip(cells, picked):
+        if not chosen:
+            outcomes.append(_empty_outcome())
             continue
-        L = grid_lengths[i]
-        j = np.ceil(p / L).astype(int)
-        mask = np.isin(j, cells)
-        idx = np.flatnonzero(mask)
+        j, counts, _ = node
+        table = np.zeros(counts.size + 2, dtype=bool)  # cells 0..K+1, as j runs
+        table[chosen] = True
+        idx = np.flatnonzero(table[j])
         outcomes.append(RejectionOutcome(idx, int(idx.size), 0.0))
     return outcomes
 
@@ -427,66 +406,44 @@ def replay_greedy_transcript(
 ):
     """Re-apply a greedy transcript's center decisions to the same sample.
 
-    The per-node cell rankings are recomputed deterministically; each
-    center->node grant then rejects that node's next-best unrejected cell.
+    The per-node cell rankings are recomputed deterministically.  Every UP
+    message from round 1 on must carry the count the node reports next
+    (-1 once exhausted), and each center->node grant rejects that node's
+    next-best cell.  Raises ValueError, naming the node and round, on the
+    first message the sample, epsilon and estimator do not reproduce.
     Returns the per-node RejectionOutcome list.
     """
-    tmp = Transcript()
-    estimator = make_estimator(estimator)
-    estimates = _estimate_all(sample, estimator, tmp)
-    m = sample.m
-    n = sample.n_nodes
-    nodes = []
-    grid_lengths = np.zeros(n)
-    for i in range(n):
-        mi = int(sample.m_per_node[i])
-        est = estimates[i]
-        if mi == 0 or est is None or est.value == 0.0:
-            nodes.append(_GreedyNode(i, []))
-            continue
-        g = build_grid(epsilon, [mi / m], [est.value])
-        grid_lengths[i] = g.lengths[0]
-        K = int(g.counts[0])
-        if K == 0:
-            nodes.append(_GreedyNode(i, []))
-            continue
-        L = float(g.lengths[0])
-        j = np.ceil(sample.pvalues[i] / L).astype(int)
-        valid = (j >= 1) & (j <= K)
-        counts = np.bincount(j[valid], minlength=K + 1)[1:]
-        nodes.append(_GreedyNode(i, counts.tolist()))
-
+    cells = _greedy_cells(sample, epsilon, estimator, Transcript())
+    ranked = _ranked_counts(cells)
+    cursor = [0] * len(cells)
     selected = []
     for msg in transcript.messages:
-        if msg.direction == DOWN and msg.payload == (1,):
-            selected.append((msg.receiver, nodes[msg.receiver].pop_cell()))
-    return _cells_to_outcomes(selected, grid_lengths, sample)
+        i = msg.sender if msg.direction == UP else msg.receiver
+        if msg.direction != BCAST and not 0 <= i < len(cells):
+            raise ValueError(f"round {msg.round}: the sample has no node {i}")
+        if msg.direction == UP and msg.round >= 1:
+            want = _next_report(ranked, cursor, i)
+            if msg.payload != (want,):
+                raise ValueError(
+                    f"node {i}, round {msg.round}: transcript reports "
+                    f"{msg.payload}, the sample gives {(want,)}"
+                )
+        elif msg.direction == DOWN and msg.payload == (1,):
+            if _next_report(ranked, cursor, i) < 0:
+                raise ValueError(f"node {i}, round {msg.round}: grant to an exhausted node")
+            selected.append((i, int(cells[i][2][cursor[i]])))
+            cursor[i] += 1
+    return _cells_to_outcomes(selected, cells)
 
 
 def batch_equivalent_selection(sample: LabeledSample, alpha, epsilon, estimator="spacing"):
-    """Batch-form selection on the same estimates the protocol would use."""
-    tmp = Transcript()
-    estimator = make_estimator(estimator)
-    estimates = _estimate_all(sample, estimator, tmp)
-    m = sample.m
-    q_hat, r0_hat = [], []
-    keep = []
-    for i, est in enumerate(estimates):
-        mi = int(sample.m_per_node[i])
-        if mi == 0 or est is None or est.value == 0.0:
-            continue
-        keep.append(i)
-        q_hat.append(mi / m)
-        r0_hat.append(est.value)
-    if not keep:
-        return IntervalSelection((), 0, 0.0)
-    grid = build_grid(epsilon, q_hat, r0_hat)
-    sub = LabeledSample(
-        [sample.pvalues[i] for i in keep], [sample.null_labels[i] for i in keep]
-    )
-    dens = cell_densities(grid, sub)
-    sel = greedy_select(dens, alpha)
-    remap = {k: i for k, i in enumerate(keep)}
-    return IntervalSelection(
-        tuple((remap[nd], c) for nd, c in sel.cells), sel.m_selected, sel.fdr_hat
-    )
+    """Batch-form selection on the same estimates and cells the protocol uses."""
+    cells = _greedy_cells(sample, epsilon, estimator, Transcript())
+    scale = epsilon * sample.m
+    densities = [
+        CellDensity(i, cell, c, c / scale)
+        for i, node in enumerate(cells)
+        if node is not None
+        for cell, c in enumerate(node[1].tolist(), start=1)
+    ]
+    return greedy_select(densities, alpha)

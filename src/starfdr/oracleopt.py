@@ -58,11 +58,6 @@ def level_region(node: NodeModel, t: float, resolution: int = 10_000):
     return intervals
 
 
-def region_metrics(regions, net: NetworkModel) -> tuple[float, float]:
-    """Asymptotic (FDR, power) of per-node interval unions."""
-    return selection_asymptotics(regions, net)
-
-
 def _regions_at(net: NetworkModel, t: float, resolution: int):
     return [level_region(node, t, resolution) for node in net.nodes]
 
@@ -78,7 +73,7 @@ def c_alpha_search(net: NetworkModel, alpha: float, resolution: int = 10_000,
         raise ValueError("alpha must lie in (0, 1)")
 
     def feasible(t: float) -> bool:
-        fdr, _ = region_metrics(_regions_at(net, t, resolution), net)
+        fdr, _ = selection_asymptotics(_regions_at(net, t, resolution), net)
         return fdr <= alpha
 
     if feasible(0.0):
@@ -102,7 +97,7 @@ def optimal_region(net: NetworkModel, alpha: float, resolution: int = 10_000):
     """Optimal per-node regions with their asymptotic FDR and power."""
     c = c_alpha_search(net, alpha, resolution)
     regions = _regions_at(net, c, resolution)
-    fdr, power = region_metrics(regions, net)
+    fdr, power = selection_asymptotics(regions, net)
     return regions, fdr, power
 
 

@@ -87,6 +87,13 @@ class TestSchedule:
         with pytest.raises(ValueError):
             sf.default_spacing_schedule(0)
 
+    def test_small_m_is_estimable(self):
+        # s is capped so that m >= 2s + 1 holds for every m >= 3
+        for m in range(3, 40):
+            s = sf.default_spacing_schedule(m)
+            assert m >= 2 * s + 1
+            sf.spacing_estimate(np.linspace(0.01, 0.99, m), s)
+
 
 def test_oracle_estimate():
     est = sf.oracle_estimate(0.75)

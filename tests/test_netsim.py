@@ -49,6 +49,19 @@ class TestNoComm:
         with pytest.raises(ValueError):
             sf.run_no_comm(sf.LabeledSample([], []), 0.2)
 
+    def test_small_node_is_estimated(self):
+        # a 10-p-value node used to fail spacing estimation and reject nothing
+        net = sf.NetworkModel([
+            sf.NodeModel(0.5, 0.5, sf.gaussian_alt(5.0)),
+            sf.NodeModel(0.5, 0.8, sf.gaussian_alt(5.0)),
+        ])
+        s = sf.sample_trial(net, (10, 10000), seed=1)
+        res = sf.run_no_comm(s, 0.2)
+        alternatives = np.flatnonzero(~s.null_labels[0])
+        assert alternatives.size > 0
+        assert np.isin(alternatives, res.outcomes[0].rejected).all()
+        assert not any("estimator failed" in note for note in res.transcript.notes)
+
 
 class TestPooledBH:
     def test_bit_convention(self):
@@ -193,6 +206,57 @@ class TestGreedyAggregation:
             if msg.direction == netsim.UP and msg.round >= 1 and msg.payload != (-1,):
                 assert msg.bits == count_bits
                 assert 0 <= msg.payload[0] <= s.m
+
+    def test_replay_rejects_mismatched_transcript(self):
+        eps = sf.default_epsilon(0.2, 1600)
+        s = _trial(seed=11)
+        res = sf.run_greedy_aggregation(s, 0.2, eps)
+        with pytest.raises(ValueError, match=r"node \d+, round \d+"):
+            sf.replay_greedy_transcript(res.transcript, s, 2 * eps)
+        with pytest.raises(ValueError, match=r"node \d+, round \d+"):
+            sf.replay_greedy_transcript(res.transcript, s, eps, "storey")
+        three = _trial(sf.NetworkModel([sf.NodeModel(1 / 3, 0.7, sf.gaussian_alt(2.0))] * 3),
+                       (500, 500, 500))
+        with pytest.raises(ValueError, match="no node 2"):
+            sf.replay_greedy_transcript(sf.run_greedy_aggregation(three, 0.2, eps).transcript,
+                                        s, eps)
+        grant = netsim.Transcript()
+        grant.add(1, netsim.DOWN, netsim.CENTER, 0, (1,), netsim.CONTROL_BITS)
+        with pytest.raises(ValueError, match="node 0, round 1: grant to an exhausted node"):
+            sf.replay_greedy_transcript(grant, s, 0.6)  # L > 1: node 0 has no cells
+
+    def test_batch_equivalence_with_failed_node(self):
+        def est(p, i):
+            if i == 1:
+                raise ValueError("boom")
+            return sf.oracle_estimate(0.7)
+
+        net = sf.NetworkModel([sf.NodeModel(1 / 3, 0.7, sf.gaussian_alt(2.5))] * 3)
+        eps = sf.default_epsilon(0.2, 2400)
+        for seed in range(5):
+            s = _trial(net, (800, 800, 800), seed=seed)
+            res = sf.run_greedy_aggregation(s, 0.2, eps, est)
+            batch = sf.batch_equivalent_selection(s, 0.2, eps, est)
+            assert res.selection.m_selected > 0
+            assert res.selection.cells == batch.cells
+            assert res.selection.fdr_hat == batch.fdr_hat
+
+    @pytest.mark.parametrize("p, eps, alpha, cells, rejected", [
+        # L = 0.3, K = 3: 0.3 is cell 1's right endpoint; 0.95 and p = 1
+        # lie in the uncovered tail (0.9, 1]
+        ([0.05] * 40 + [0.3, 0.31, 0.95, 1.0], 0.15, 0.2, ((0, 1),), range(41)),
+        # L = 0.5, K = 2: K*L = 1, so p = 1 is the right endpoint of cell 2
+        ([1.0] * 30 + [0.7, 0.2], 0.25, 0.4, ((0, 2),), range(31)),
+    ])
+    def test_cell_lookup_edges(self, p, eps, alpha, cells, rejected):
+        p = np.asarray(p)
+        s = sf.LabeledSample([p], [np.ones(p.size, dtype=bool)])
+        est = lambda _p, _i: sf.oracle_estimate(0.5)
+        res = sf.run_greedy_aggregation(s, alpha, eps, est)
+        assert res.selection.cells == cells
+        replayed = sf.replay_greedy_transcript(res.transcript, s, eps, est)
+        for outcome in (res.outcomes[0], replayed[0]):
+            assert np.array_equal(outcome.rejected, np.arange(len(rejected)))
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
