@@ -146,7 +146,7 @@ def _cmd_bench(args) -> int:
     t2 = time.perf_counter()
     run_greedy_aggregation(sample, 0.2, 0.001)
     t3 = time.perf_counter()
-    optimal_region(rng_net, 0.2, resolution=2000)
+    optimal_region(rng_net, 0.2)
     t4 = time.perf_counter()
     print(f"bh on 1e5 p-values:     {t1 - t0:.4f} s")
     print(f"pooled protocol:        {t2 - t1:.4f} s")

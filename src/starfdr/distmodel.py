@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 
 GAUSSIAN = "gaussian"
@@ -82,7 +81,9 @@ def alt_cdf(alt: AlternativeModel, t):
     if alt.kind == GAUSSIAN:
         out[inner] = normal_tail(normal_tail_inv(ti) - alt.mu)
     else:
-        out[inner] = 0.5 - np.arctan(_cot_pi(ti) - alt.mu) / np.pi
+        # 0.5 - arctan(cot(pi t) - mu)/pi in half-angle atan2 form: no cancellation near 0
+        u = np.tan(0.5 * np.pi * ti)
+        out[inner] = np.arctan2(2.0 * u, 1.0 - u * (u + 2.0 * alt.mu)) / np.pi
     if out.ndim == 0:
         return float(out)
     return out
@@ -105,6 +106,34 @@ def alt_pdf(alt: AlternativeModel, t):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def alt_superlevel(alt: AlternativeModel, level: float):
+    """{x in (0,1): alt_pdf(alt, x) > level} as sorted (a, b) intervals.
+
+    Gaussian: f = exp(mu z - mu^2/2) is monotone in z = Q^{-1}(x).  Cauchy:
+    with c = cot(pi x), f > T is (1-T) c^2 + 2 T mu c + (1 - T - T mu^2) > 0,
+    linear at T = 1; its c set maps back by the decreasing x = atan2(1, c)/pi.
+    """
+    T, mu = float(level), alt.mu
+    if T <= 0.0 or mu == 0.0:  # f > 0, and f = 1 when mu = 0
+        return [(0.0, 1.0)] if T < 1.0 else []
+    if alt.kind == GAUSSIAN:
+        x = float(normal_tail((math.log(T) + 0.5 * mu * mu) / mu))
+        spans = [(0.0, x)] if mu > 0.0 else [(x, 1.0)]
+    elif T == 1.0:  # 2 mu c > mu^2
+        x = math.atan2(1.0, 0.5 * mu) / math.pi
+        spans = [(0.0, x)] if mu > 0.0 else [(x, 1.0)]
+    else:
+        a, b, k = 1.0 - T, T * mu, 1.0 - T - T * mu * mu
+        disc = b * b - a * k  # quarter discriminant, = T mu^2 - (1-T)^2
+        if disc <= 0.0:  # no sign change: the sign of a throughout
+            return [(0.0, 1.0)] if T < 1.0 else []
+        qq = -(b + math.copysign(math.sqrt(disc), b))  # roots without cancellation
+        x1, x2 = sorted(math.atan2(1.0, c) / math.pi for c in (qq / a, k / qq))
+        # the two outer intervals for T < 1, the inner one for T > 1
+        spans = [(0.0, x1), (x2, 1.0)] if T < 1.0 else [(x1, x2)]
+    return [(x0, x1) for x0, x1 in spans if x0 < x1]
 
 
 @dataclass(frozen=True)
@@ -248,6 +277,8 @@ def _ar1_latent(rng: np.random.Generator, m: int, rho: float) -> np.ndarray:
     eps = rng.standard_normal(m)
     if m == 0 or rho == 0.0:
         return eps
+    from scipy.signal import lfilter  # here: it is most of the package's import time
+
     x = eps * math.sqrt(1.0 - rho * rho)
     x[0] = eps[0]
     return lfilter([1.0], [1.0, -rho], x)

@@ -57,13 +57,13 @@ class CellDensity:
 def node_cells(p, L: float, K: int):
     """Bin one node's p-values (all in [0, 1]) into its K cells of length L.
 
-    Cells are half-open ((j-1)L, jL]: a p-value exactly at a right endpoint
-    belongs to that cell.  Returns (j, counts, ranking): each p-value's
-    1-based cell j = ceil(p/L), which is 0 for p = 0 and K+1 for p above
-    K*L (both in no cell); the counts of cells 1..K; and the cells 1..K
-    ordered by count descending, then cell ascending.
+    Cell 1 is the closed [0, L] and the others are half-open ((j-1)L, jL]:
+    a p-value exactly at a right endpoint belongs to that cell.  Returns
+    (j, counts, ranking): each p-value's 1-based cell j = max(ceil(p/L), 1),
+    which is K+1 for p above K*L (in no cell); the counts of cells 1..K;
+    and the cells 1..K ordered by count descending, then cell ascending.
     """
-    j = np.ceil(np.asarray(p, dtype=float) / L).astype(int)
+    j = np.maximum(np.ceil(np.asarray(p, dtype=float) / L).astype(int), 1)
     counts = np.bincount(j, minlength=K + 2)[1 : K + 1]
     ranking = np.argsort(-counts, kind="stable") + 1
     return j, counts, ranking

@@ -5,65 +5,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distmodel import NetworkModel, NodeModel, alt_cdf, alt_pdf
+from .distmodel import GAUSSIAN, NetworkModel, NodeModel, alt_cdf, alt_pdf, alt_superlevel
 from .greedy import selection_asymptotics
 from .procedures import asymptotic_threshold, beta_slope, local_alpha
 
-_BOUNDARY_TOL = 1e-8
+_LEVEL_TOL = 1e-6  # absolute, on the level t in c_alpha_search
+_SUP_GRID = 10_000  # points on measure_alt_heterogeneity's bracket
 
 
-def _alt_pdf_grid(node: NodeModel, xs: np.ndarray) -> np.ndarray:
-    return np.asarray(alt_pdf(node.alt, xs), dtype=float)
-
-
-def level_region(node: NodeModel, t: float, resolution: int = 10_000):
-    """Superlevel set {x in (0,1): g(x)/r0 > t+1} as sorted intervals.
-
-    Equivalent to {x: (r1/r0) f(x) > t}.  Boundaries are located by sign
-    changes on a uniform grid and refined by bisection; the density may be
-    non-monotone (Cauchy case), so every crossing is kept.
-    """
+def level_region(node: NodeModel, t: float):
+    """Superlevel set {x in (0,1): g(x)/r0 > t+1} as sorted intervals,
+    i.e. {x: f(x) > (r0/r1) t}, in closed form from alt_superlevel."""
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    if node.r1 == 0.0:
-        # all-null node: g/r0 = 1/r0... = 1 for r0=1; never exceeds t+1>1
+    if node.r1 == 0.0:  # all-null node: g/r0 = 1 never exceeds t+1
         return []
-    thresh = node.r0 / node.r1 * t
-    xs = np.linspace(0.0, 1.0, resolution + 1)[1:-1]
-    above = _alt_pdf_grid(node, xs) > thresh
-
-    def refine(lo: float, hi: float, lo_above: bool) -> float:
-        while hi - lo > _BOUNDARY_TOL:
-            mid = 0.5 * (lo + hi)
-            if (float(alt_pdf(node.alt, mid)) > thresh) == lo_above:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    intervals = []
-    start = None
-    if above[0]:
-        start = 0.0
-    flips = np.flatnonzero(above[:-1] != above[1:])
-    for k in flips:
-        x = refine(xs[k], xs[k + 1], above[k])
-        if above[k]:
-            intervals.append((start, x))
-            start = None
-        else:
-            start = x
-    if start is not None:
-        intervals.append((start, 1.0))
-    return intervals
+    return alt_superlevel(node.alt, node.r0 / node.r1 * t)
 
 
-def _regions_at(net: NetworkModel, t: float, resolution: int):
-    return [level_region(node, t, resolution) for node in net.nodes]
-
-
-def c_alpha_search(net: NetworkModel, alpha: float, resolution: int = 10_000,
-                   tol: float = 1e-6) -> float:
+def c_alpha_search(net: NetworkModel, alpha: float) -> float:
     """Smallest level t whose superlevel regions satisfy FDR <= alpha.
 
     Bisection is valid because regions shrink as t grows; empty regions
@@ -73,7 +33,7 @@ def c_alpha_search(net: NetworkModel, alpha: float, resolution: int = 10_000,
         raise ValueError("alpha must lie in (0, 1)")
 
     def feasible(t: float) -> bool:
-        fdr, _ = selection_asymptotics(_regions_at(net, t, resolution), net)
+        fdr, _ = selection_asymptotics([level_region(nd, t) for nd in net.nodes], net)
         return fdr <= alpha
 
     if feasible(0.0):
@@ -84,7 +44,7 @@ def c_alpha_search(net: NetworkModel, alpha: float, resolution: int = 10_000,
         if hi > 1e12:
             return hi  # regions effectively empty; FDR convention 0
     lo = hi / 2.0 if hi > 1.0 else 0.0
-    while hi - lo > tol:
+    while hi - lo > _LEVEL_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -93,10 +53,10 @@ def c_alpha_search(net: NetworkModel, alpha: float, resolution: int = 10_000,
     return hi
 
 
-def optimal_region(net: NetworkModel, alpha: float, resolution: int = 10_000):
+def optimal_region(net: NetworkModel, alpha: float):
     """Optimal per-node regions with their asymptotic FDR and power."""
-    c = c_alpha_search(net, alpha, resolution)
-    regions = _regions_at(net, c, resolution)
+    c = c_alpha_search(net, alpha)
+    regions = [level_region(nd, c) for nd in net.nodes]
     fdr, power = selection_asymptotics(regions, net)
     return regions, fdr, power
 
@@ -106,11 +66,11 @@ def heterogeneity_delta(net: NetworkModel) -> float:
     return float(np.dot(net.q, np.abs(net.r0 - net.r0_star)))
 
 
-def _node_threshold(node: NodeModel, beta: float, grid: int = 10_000) -> float:
+def _node_threshold(node: NodeModel, beta: float) -> float:
     """sup{t: F_i(t) = beta * t} via the downward fixed-point scan."""
     if beta <= 1.0:
         return 1.0
-    return asymptotic_threshold(lambda t: alt_cdf(node.alt, t), 1.0 / beta, grid)
+    return asymptotic_threshold(lambda t: alt_cdf(node.alt, t), 1.0 / beta)
 
 
 def fdr_bound_null_heterogeneity(net: NetworkModel, alpha: float,
@@ -158,24 +118,29 @@ def pooled_alt_cdf(net: NetworkModel, t):
     return total / net.r1_star
 
 
-def measure_alt_heterogeneity(net: NetworkModel, alpha: float, grid: int = 10_000):
+def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
     """Numerically measure per-node sup-distances to the pooled alternative
     CDF and the Lipschitz constant of that CDF on the bracketing interval
-    [min tau_i, max tau_i] of the per-node slope crossings."""
+    [min tau_i, max tau_i] of the per-node slope crossings.  At a bracket
+    from 0 the pooled density diverges (constant inf) if a node has signal
+    with a Gaussian shift mu > 0; densities are taken at interior points."""
     bs = beta_slope(alpha, net.r0_star)
     taus = np.array([_node_threshold(nd, bs) for nd in net.nodes])
     lo, hi = float(taus.min()), float(taus.max())
     if hi - lo < 1e-9:
         lo = max(lo - 1e-3, 1e-6)
         hi = min(hi + 1e-3, 1.0 - 1e-6)
-    ts = np.linspace(lo, hi, grid)
+    ts = np.linspace(lo, hi, _SUP_GRID)
     pooled = pooled_alt_cdf(net, ts)
     deltas = np.array(
         [float(np.max(np.abs(alt_cdf(nd.alt, ts) - pooled))) for nd in net.nodes]
     )
-    dens = sum(nd.q * nd.r1 * _alt_pdf_grid(nd, ts) for nd in net.nodes) / net.r1_star
-    c = float(np.max(dens))
-    return deltas, c
+    if lo == 0.0 and any(nd.r1 > 0.0 and nd.alt.kind == GAUSSIAN and nd.alt.mu > 0.0
+                         for nd in net.nodes):
+        return deltas, np.inf
+    ts = ts[ts > 0.0]
+    dens = sum(nd.q * nd.r1 * alt_pdf(nd.alt, ts) for nd in net.nodes) / net.r1_star
+    return deltas, float(np.max(dens))
 
 
 def alt_heterogeneity_bounds(net: NetworkModel, alpha: float, deltas,
@@ -185,7 +150,8 @@ def alt_heterogeneity_bounds(net: NetworkModel, alpha: float, deltas,
     deltas are per-node sup-distances between F_i and the pooled
     alternative CDF; lipschitz_c bounds the pooled CDF's slope on the
     bracketing interval.  Returns None when inapplicable (lipschitz_c >=
-    global slope, or the aggregated distance reaches the rejection mass).
+    global slope, inf included, or the aggregated distance reaches the
+    rejection mass).
     """
     deltas = np.asarray(deltas, dtype=float)
     if np.any(deltas < 0.0) or lipschitz_c < 0.0:

@@ -115,31 +115,34 @@ def calibrate_proportion_matching(
     return Calibration(r0_star, beta_star, alphas, m0_hats)
 
 
-def asymptotic_threshold(cdf, alpha: float, grid: int = 10_000, tol: float = 1e-10) -> float:
+# log-spaced down to the smallest normal float so that thresholds far below
+# the uniform step are bracketed too; t = 0 is left out
+_THRESHOLD_GRID = np.union1d(np.geomspace(np.finfo(float).tiny, 1.0, 1000),
+                             np.linspace(0.0, 1.0, 10_001)[1:])
+_THRESHOLD_RTOL = 1e-10
+
+
+def asymptotic_threshold(cdf, alpha: float) -> float:
     """Largest fixed point of G(t) = t/alpha on [0, 1].
 
-    Scans a uniform grid downward from t=1 for a sign change of
-    G(t) - t/alpha and bisects the bracketing cell; returns 0 when the
-    curve never rises above the line away from the origin.
+    Scans a fixed grid down from t=1 for a sign change of G(t) - t/alpha,
+    bisects the bracketing cell to a relative tolerance, and returns 0
+    when the curve never rises above the line away from the origin.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    ts = np.linspace(0.0, 1.0, grid + 1)
-    diff = np.asarray(cdf(ts), dtype=float) - ts / alpha
-    # skip t=0 where the difference is trivially zero
-    pos = np.flatnonzero(diff[1:] >= 0.0) + 1
+    ts = _THRESHOLD_GRID
+    pos = np.flatnonzero(np.asarray(cdf(ts), dtype=float) - ts / alpha >= 0.0)
     if pos.size == 0:
         return 0.0
     i = int(pos[-1])
-    if i == grid:
+    if i == ts.size - 1:
         return 1.0
-    lo, hi = ts[i], ts[i + 1]
-    flo = diff[i]
-    while hi - lo > tol:
+    lo, hi = float(ts[i]), float(ts[i + 1])
+    while hi - lo > _THRESHOLD_RTOL * hi:
         mid = 0.5 * (lo + hi)
-        fmid = float(cdf(mid)) - mid / alpha
-        if fmid >= 0.0:
-            lo, flo = mid, fmid
+        if float(cdf(mid)) - mid / alpha >= 0.0:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)

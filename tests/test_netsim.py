@@ -247,6 +247,8 @@ class TestGreedyAggregation:
         ([0.05] * 40 + [0.3, 0.31, 0.95, 1.0], 0.15, 0.2, ((0, 1),), range(41)),
         # L = 0.5, K = 2: K*L = 1, so p = 1 is the right endpoint of cell 2
         ([1.0] * 30 + [0.7, 0.2], 0.25, 0.4, ((0, 2),), range(31)),
+        # L = 0.5, K = 2: p = 0 is in cell 1, which is closed at 0
+        ([0.0] * 30 + [0.2, 0.7], 0.25, 0.4, ((0, 1),), range(31)),
     ])
     def test_cell_lookup_edges(self, p, eps, alpha, cells, rejected):
         p = np.asarray(p)

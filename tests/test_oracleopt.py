@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
 import starfdr as sf
 
@@ -23,8 +24,16 @@ class TestLevelRegion:
         assert b == pytest.approx(sf.normal_tail(1.0), abs=1e-6)
 
     def test_huge_level_empty(self):
+        # the Gaussian density is unbounded at 0: f > 1e9 on [0, Q(11.36...))
         node = sf.NodeModel(1.0, 0.5, sf.gaussian_alt(2.0))
-        assert sf.level_region(node, 1e9) == []
+        reg = sf.level_region(node, 1e9)
+        assert len(reg) == 1 and reg[0][0] == 0.0
+        b = sf.normal_tail((np.log(1e9) + 2.0) / 2.0)
+        assert reg[0][1] == pytest.approx(b, rel=1e-12)
+        assert 3e-30 < reg[0][1] < 3.5e-30
+        # the Cauchy density is bounded by (mu^2 + 2 + mu sqrt(mu^2 + 4)) / 2
+        cauchy = sf.NodeModel(1.0, 0.5, sf.cauchy_alt(2.0))
+        assert sf.level_region(cauchy, (6.0 + 2.0 * np.sqrt(8.0)) / 2.0 * (1 + 1e-9)) == []
 
     def test_all_null_node_empty(self):
         node = sf.NodeModel(1.0, 1.0, sf.gaussian_alt(2.0))
@@ -50,6 +59,32 @@ class TestLevelRegion:
         reg = sf.level_region(node, 2.0)
         assert len(reg) >= 1
         assert all(0.0 < a < b < 1.0 for a, b in reg) or reg[0][0] > 0.0
+
+    @pytest.mark.parametrize("kind, mu, level, n_intervals", [
+        ("cauchy", 3.0, 0.5, 2),  # T < 1: the two outer intervals
+        ("cauchy", 3.0, 1.0, 1),  # T = 1: the linear case c > mu/2
+        ("cauchy", -2.0, 1.0, 1),  # T = 1 with mu < 0: c < mu/2
+        ("cauchy", 3.0, 4.0, 1),  # T > 1: the inner interval
+        ("cauchy", -3.0, 4.0, 1),
+        ("cauchy", 0.5, 0.2, 1),  # disc <= 0, T < 1: everything
+        ("cauchy", 2.0, 6.0, 0),  # disc <= 0, T > 1: nothing
+        ("gaussian", -1.5, 0.5, 1),  # mu < 0: a suffix
+    ])
+    def test_endpoints_bracket_level(self, kind, mu, level, n_intervals):
+        alt = sf.AlternativeModel(kind, mu)
+        # r0 = 1/2 makes the node's level the density level itself
+        reg = sf.level_region(sf.NodeModel(1.0, 0.5, alt), level)
+        assert len(reg) == n_intervals
+        excess = lambda x: sf.alt_pdf(alt, x) - level
+        for a, b in reg:
+            assert 0.0 <= a < b <= 1.0
+            for x, inside in ((a, a + 1e-7), (b, b - 1e-7)):
+                if 0.0 < x < 1.0:
+                    assert excess(inside) > 0.0
+                    assert excess(2 * x - inside) < 0.0
+        xs = np.linspace(1e-4, 1.0 - 1e-4, 2001)
+        inside = np.array([any(a < x < b for a, b in reg) for x in xs])
+        assert np.array_equal(inside, excess(xs) > 0.0)
 
 
 class TestCAlphaSearch:
@@ -82,6 +117,25 @@ class TestCAlphaSearch:
         ])
         _, fdr, _ = sf.optimal_region(net, 0.2)
         assert 0.2 - 1e-4 <= fdr <= 0.2
+
+    def test_rare_signal(self):
+        # one node, r0 = 0.9999, Gaussian mu = 4: the optimal region is a
+        # threshold [0, tau) far narrower than any uniform grid step
+        node = sf.NodeModel(1.0, 0.9999, sf.gaussian_alt(4.0))
+        alpha = 0.2
+        tau = optimize.brentq(
+            lambda t: node.r0 * t / sf.mixture_cdf(node, t) - alpha, 1e-12, 1e-2,
+            xtol=1e-20, rtol=1e-14,
+        )
+        assert tau == pytest.approx(9.86e-6, rel=1e-3)
+        got = sf.asymptotic_threshold(lambda t: sf.mixture_cdf(node, t), alpha / node.r0)
+        assert got == pytest.approx(tau, rel=1e-8)
+        regions, fdr, power = sf.optimal_region(sf.NetworkModel([node]), alpha)
+        assert len(regions[0]) == 1 and regions[0][0][0] == 0.0
+        assert regions[0][0][1] == pytest.approx(tau, rel=1e-4)
+        assert fdr == pytest.approx(alpha, abs=1e-5)
+        assert power == pytest.approx(sf.alt_cdf(node.alt, tau), abs=1e-6)
+        assert power == pytest.approx(0.394, abs=1e-3)
 
 
 class TestOptimalRegion:
@@ -229,6 +283,15 @@ class TestAltHeterogeneityBounds:
             assert dprime <= deltas.max() / (alpha * (beta - c)) + 1e-12
             identity = net.r0_star + net.r1_star * beta
             assert identity == pytest.approx(1.0 / alpha, rel=1e-9)
+
+    def test_bracket_at_zero(self):
+        # the Cauchy nodes' slope crossings are 0 and the Gaussian ones'
+        # positive; Gaussian mu > 0 makes the pooled density unbounded at 0
+        net = sf.builtin_config("2c").instantiate(2)[0]
+        deltas, c = sf.measure_alt_heterogeneity(net, 0.2)
+        assert deltas.shape == (5,) and np.all(deltas >= 0.0)
+        assert c == np.inf
+        assert sf.alt_heterogeneity_bounds(net, 0.2, deltas, c) is None
 
     def test_inapplicable_lipschitz(self):
         net = self._net((1.8, 2.2))
