@@ -148,10 +148,14 @@ def _cmd_bench(args) -> int:
     t3 = time.perf_counter()
     optimal_region(rng_net, 0.2)
     t4 = time.perf_counter()
+    run_experiment(ExperimentConfig(**{**builtin_config("2c", trials=40).__dict__,
+                                       "sweep_values": (3,)}))
+    t5 = time.perf_counter()
     print(f"bh on 1e5 p-values:     {t1 - t0:.4f} s")
     print(f"pooled protocol:        {t2 - t1:.4f} s")
     print(f"greedy protocol:        {t3 - t2:.4f} s")
     print(f"optimal region search:  {t4 - t3:.4f} s")
+    print(f"sweep 2c@3, 40 trials:  {t5 - t4:.4f} s")
     return EXIT_OK
 
 

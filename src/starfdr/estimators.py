@@ -41,23 +41,30 @@ def storey_estimate(pvalues, lam: float = DEFAULT_STOREY_LAMBDA) -> NullProporti
     return NullProportionEstimate(value, STOREY, {"lambda": lam})
 
 
-def spacing_estimate(pvalues, s: int) -> NullProportionEstimate:
-    """min{ 2s / (m * Z), 1 } with Z the widest 2s-wide order spacing.
+def spacing_values(sorted_rows, s: int) -> np.ndarray:
+    """Row-wise max-spacing estimates min{ 2s / (m * Z), 1 } on rows of
+    ascending p-values, with Z a row's widest 2s-wide order spacing.
 
     Z = max over admissible j of P_(j+s) - P_(j-s); requires m >= 2s + 1.
+    A row whose spacings are all zero (a fully tied sample) gives NaN.
     """
-    p = np.sort(np.asarray(pvalues, dtype=float))
-    m = p.size
+    rows = np.asarray(sorted_rows, dtype=float)
+    m = rows.shape[1]
     s = int(s)
     if s < 1:
         raise ValueError("spacing parameter must be a positive integer")
     if m < 2 * s + 1:
         raise ValueError(f"need at least {2 * s + 1} p-values for s={s} (got {m})")
-    z = float(np.max(p[2 * s:] - p[: m - 2 * s]))
-    if z == 0.0:
+    z = np.max(rows[:, 2 * s:] - rows[:, : m - 2 * s], axis=1)
+    return np.minimum(2.0 * s / (m * np.where(z == 0.0, np.nan, z)), 1.0)
+
+
+def spacing_estimate(pvalues, s: int) -> NullProportionEstimate:
+    """The max-spacing estimate of one sample; see spacing_values."""
+    value = float(spacing_values(np.sort(np.asarray(pvalues, dtype=float))[None], s)[0])
+    if np.isnan(value):
         raise DegenerateSpacingError("all spacings are zero; sample is fully tied")
-    value = min(2.0 * s / (m * z), 1.0)
-    return NullProportionEstimate(value, SPACING, {"s": s})
+    return NullProportionEstimate(value, SPACING, {"s": int(s)})
 
 
 def default_spacing_schedule(m: int) -> int:

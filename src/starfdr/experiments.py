@@ -9,8 +9,8 @@ method.
 from __future__ import annotations
 
 import csv
+import functools
 import io
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -27,16 +27,19 @@ from .distmodel import (
     NodeModel,
     sample_trial,
 )
-from .greedy import default_epsilon
+from .estimators import default_spacing_schedule, oracle_estimate, spacing_values
+from .greedy import build_grid, default_epsilon, greedy_order, node_cells
 from .netsim import (
+    ESTIMATOR_FAILURES,
+    greedy_cost,
+    make_estimator,
     run_greedy_aggregation,
     run_no_comm,
     run_pooled_bh,
     run_proportion_matching,
 )
 from .oracleopt import optimal_region
-
-log = logging.getLogger(__name__)
+from .procedures import R0_STAR_CLAMP, bh_step_up
 
 CSV_HEADER = [
     "sweep", "method", "fdr", "fdr_se", "power", "power_se",
@@ -77,6 +80,11 @@ class ExperimentConfig:
             raise ValueError("sweep grid must be nonempty")
         if len(self.kinds) != self.n_nodes:
             raise ValueError("one statistic kind per node required")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        unknown = set(self.methods) - set(METHODS)
+        if unknown:
+            raise ValueError(f"unknown methods {sorted(unknown)}")
 
     def r0(self, i: int) -> float:
         """Null proportion at node i (1-based): 1 - (0.5 - (i-1)/10)."""
@@ -177,52 +185,228 @@ class ResultRow:
         ]
 
 
-def _run_method(method, sample, alpha, eps, estimator):
+# elements per stacked array in one block of trials: 5 trials at m = 3,000,
+# one at m = 300,000, so memory stays flat as m and the trial count grow
+BLOCK_ELEMENTS = 2**14
+
+
+def _point_estimators(choice, net):
+    """(node estimator, pooled estimator) of one sweep point; the pooled
+    oracle estimate is the network's r0*, as in run_pooled_bh_oracle."""
+    est = make_estimator(choice, net)
+    if choice == "oracle":
+        return est, lambda _p, _i: oracle_estimate(net.r0_star)
+    return est, est
+
+
+def _row_estimates(choice, est, rows, sorted_rows, i):
+    """One null-proportion estimate per row (trial); NaN where it fails."""
+    if choice == "spacing":  # the row-wise core, on the rows sorted once
+        try:
+            return spacing_values(sorted_rows, default_spacing_schedule(rows.shape[1]))
+        except ValueError:
+            return np.full(len(rows), np.nan)
+    out = np.full(len(rows), np.nan)
+    for r, p in enumerate(rows):
+        try:
+            out[r] = est(p, i).value
+        except ESTIMATOR_FAILURES:
+            pass
+    return out
+
+
+class _TrialBlock:
+    """Consecutive trials of one sweep point, stacked per node as (t, m_i)
+    rows: p-values, null labels, sorted p-values and one estimate per row
+    (r0, (t, n), NaN where the estimator failed), each computed once."""
+
+    def __init__(self, samples, choice, node_est, pooled_est):
+        n = samples[0].n_nodes
+        self.P = [np.stack([s.pvalues[i] for s in samples]) for i in range(n)]
+        self.N = [np.stack([s.null_labels[i] for s in samples]) for i in range(n)]
+        self.S = [np.sort(p, axis=1) for p in self.P]
+        self.r0 = np.column_stack([
+            _row_estimates(choice, node_est, p, srt, i)
+            for i, (p, srt) in enumerate(zip(self.P, self.S))
+        ])
+        self.sizes = samples[0].m_per_node
+        self.m1 = sum(np.count_nonzero(~lab, axis=1) for lab in self.N)
+        self._choice, self._pooled_est = choice, pooled_est
+
+    @functools.cached_property
+    def pooled(self):
+        """The pooled rows: (p-values, sorted, null labels, estimates)."""
+        p = np.concatenate(self.P, axis=1)
+        srt = np.sort(p, axis=1)
+        est = _row_estimates(self._choice, self._pooled_est, p, srt, 0)
+        return p, srt, np.concatenate(self.N, axis=1), est
+
+
+def _bh_rv(P, S, N, levels):
+    """R and V per row of BH at per-row levels; a NaN level rejects nothing."""
+    m = P.shape[1]
+    k = bh_step_up(S, levels)
+    if m == 0:
+        return k, k
+    tau = np.where(k > 0, levels * k / m, -np.inf)  # the threshold bh_procedure rejects at
+    return k, np.count_nonzero(N & (P <= tau[:, None]), axis=1)
+
+
+def _local_bh(block, levels, cost):
+    """Records of BH at every node, at per-(trial, node) levels (t, n)."""
+    R = V = 0
+    for i, (P, S, N) in enumerate(zip(block.P, block.S, block.N)):
+        k, v = _bh_rv(P, S, N, levels[:, i])
+        R, V = R + k, V + v
+    return _records(R, V, block.m1, cost)
+
+
+def _records(R, V, m1, cost):
+    """Per-trial (fdp, tdp, bits_up, bits_down, rounds), FDP and TDP from
+    the same integer formulas as procedures.confusion_metrics."""
+    rec = np.empty((len(R), 5))
+    rec[:, 0] = V / np.maximum(R, 1)
+    rec[:, 1] = (R - V) / np.maximum(m1, 1)
+    rec[:, 2:] = cost
+    return rec
+
+
+def _no_comm(block, alpha, eps, cost):
+    r0 = np.where(block.r0 > 0.0, block.r0, np.nan)  # a failed or zero estimate rejects nothing
+    return _local_bh(block, np.minimum(alpha / r0, 1.0), cost)
+
+
+def _pooled_bh(block, alpha, eps, cost):
+    P, S, N, r0 = block.pooled
+    r0 = np.where(r0 > 0.0, r0, 1.0)  # run_pooled_bh's fallback for failed or zero
+    k, v = _bh_rv(P, S, N, np.minimum(alpha / r0, 1.0))
+    return _records(k, v, block.m1, cost)
+
+
+def _prop_match(block, alpha, eps, cost):
+    """run_proportion_matching(adaptive=True), row-wise in the same float steps."""
+    sizes = block.sizes
+    m = int(sizes.sum())
+    failed = np.isnan(block.r0)
+    m0 = np.floor(np.where(failed, 1.0, block.r0) * sizes + 0.5).astype(int)
+    m0_total = m0.sum(axis=1)
+    r0_star = np.minimum(m0_total / m, R0_STAR_CLAMP)
+    with np.errstate(divide="ignore", invalid="ignore"):  # r0_star = 0: the full level
+        target = np.minimum(alpha / r0_star, 1.0)
+        beta = np.where(target < 1.0, (1.0 / target - r0_star) / (1.0 - r0_star), 1.0)
+        r0_local = np.minimum(m0 / sizes, R0_STAR_CLAMP)
+    beta = np.maximum(beta, 1.0)[:, None]
+    levels = np.minimum(1.0 / ((1.0 - r0_local) * beta + r0_local), 1.0)
+    levels[failed | (sizes == 0) | (m0_total >= m)[:, None]] = np.nan
+    return _local_bh(block, levels, cost)
+
+
+def _greedy(block, alpha, eps, _cost):
+    """Greedy aggregation in batch form: cells from node_cells, the
+    protocol's selection order from greedy_order, and the cost from the
+    message schedule."""
+    sizes = block.sizes
+    t, n = block.r0.shape
+    m = int(sizes.sum())
+    r0 = block.r0
+    has = ~np.isnan(r0) & (r0 != 0.0) & (sizes > 0)
+    L, K = np.zeros((t, n)), np.zeros((t, n), dtype=int)
+    grid = build_grid(eps, np.broadcast_to(sizes / m, (t, n))[has], r0[has])
+    L[has], K[has] = grid.lengths, grid.counts
+    scale = eps * m
+    R, V, granted = np.zeros(t, dtype=int), np.zeros(t, dtype=int), np.zeros((t, n), dtype=int)
+    for r in range(t):
+        cells = [node_cells(block.P[i][r], L[r, i], K[r, i]) if K[r, i] else None
+                 for i in range(n)]
+        node = np.repeat(np.arange(n), K[r])
+        cell = np.concatenate([np.arange(1, k + 1) for k in K[r]])
+        counts = np.concatenate([np.zeros(0, int) if c is None else c[1] for c in cells])
+        picked, _ = greedy_order(node, cell, counts / scale, alpha)
+        granted[r] = np.bincount(node[picked], minlength=n)
+        for i in np.flatnonzero(granted[r]):
+            table = np.zeros(K[r, i] + 2, dtype=bool)  # cells 0..K+1, as j runs
+            table[cell[picked][node[picked] == i]] = True
+            hit = table[cells[i][0]]
+            R[r] += np.count_nonzero(hit)
+            V[r] += np.count_nonzero(hit & block.N[i][r])
+    return _records(R, V, block.m1, np.column_stack(greedy_cost(sizes, K, granted)))
+
+
+_BATCHED = {
+    "no_comm": _no_comm,
+    "pooled_bh": _pooled_bh,
+    "prop_match": _prop_match,
+    "greedy": _greedy,
+}
+
+
+def _protocol_record(method, sample, alpha, eps, node_est, pooled_est):
+    """(fdp, tdp, bits_up, bits_down, rounds) of the transcript protocol."""
     if method == "no_comm":
-        return run_no_comm(sample, alpha, estimator)
-    if method == "pooled_bh":
-        return run_pooled_bh(sample, alpha, estimator)
-    if method == "prop_match":
-        return run_proportion_matching(sample, alpha, estimator, adaptive=True)
-    if method == "greedy":
-        return run_greedy_aggregation(sample, alpha, eps, estimator)
-    raise ValueError(f"unknown method {method!r}")
+        res = run_no_comm(sample, alpha, node_est)
+    elif method == "pooled_bh":
+        res = run_pooled_bh(sample, alpha, pooled_est)
+    elif method == "prop_match":
+        res = run_proportion_matching(sample, alpha, node_est, adaptive=True)
+    else:
+        res = run_greedy_aggregation(sample, alpha, eps, node_est)
+    ts = res.transcript
+    return (res.metrics.fdp, res.metrics.tdp, ts.bits_up, ts.bits_down, ts.rounds)
+
+
+def _simulate_point(config, s_idx, point, methods):
+    """Per-trial records of each simulated method at one sweep point, as a
+    (trials, 5) array per method.
+
+    Trials run in blocks of at most BLOCK_ELEMENTS p-values per stacked
+    array.  Trial 0 also runs through the transcript protocols, which must
+    give the same record exactly; no_comm, pooled_bh and prop_match send
+    the same messages on every trial, so their cost columns are taken
+    from that run.
+    """
+    net, sizes, dep, eps, jitter = point
+    node_est, pooled_est = _point_estimators(config.estimator, net)
+    per_block = max(1, BLOCK_ELEMENTS // int(sizes.sum()))
+    out = {mth: np.empty((config.trials, 5)) for mth in methods}
+    for start in range(0, config.trials, per_block):
+        stop = min(start + per_block, config.trials)
+        samples = [
+            sample_trial(
+                net, sizes, dep, mean_jitter=jitter or None,
+                seed=np.random.default_rng(np.random.SeedSequence([config.seed, s_idx, t])),
+            )
+            for t in range(start, stop)
+        ]
+        if start == 0:
+            reference = {
+                mth: _protocol_record(mth, samples[0], config.alpha, eps, node_est, pooled_est)
+                for mth in methods
+            }
+        block = _TrialBlock(samples, config.estimator, node_est, pooled_est)
+        for mth in methods:
+            out[mth][start:stop] = _BATCHED[mth](block, config.alpha, eps, reference[mth][2:])
+    for mth in methods:
+        if tuple(out[mth][0].tolist()) != reference[mth]:
+            raise RuntimeError(
+                f"experiment {config.id} sweep={config.sweep_values[s_idx]} method={mth}: "
+                f"trial 0 gives {tuple(out[mth][0].tolist())} in batch and "
+                f"{reference[mth]} in the protocol"
+            )
+    return out
 
 
 def run_experiment(config: ExperimentConfig, out_csv=None):
     """Monte Carlo sweep: per sweep value and method, mean FDR/power with
     standard errors and mean communication cost.  Deterministic given the
-    config seed; per-trial failures are logged and dropped from the trial
-    count rather than silently ignored."""
+    config seed; every trial counts, and an estimator that fails at a node
+    falls back as the protocols do (see README, "Sweep engine")."""
     rows = []
     sim_methods = [mth for mth in config.methods if mth != "optimal"]
     for s_idx, sweep_value in enumerate(config.sweep_values):
-        net, sizes, dep, eps, jitter = config.instantiate(sweep_value)
-        acc = {mth: [] for mth in sim_methods}
-        for t in range(config.trials):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, s_idx, t])
-            )
-            sample = sample_trial(
-                net, sizes, dep, mean_jitter=jitter or None, seed=rng
-            )
-            for mth in sim_methods:
-                try:
-                    res = _run_method(mth, sample, config.alpha, eps, config.estimator)
-                except Exception as exc:
-                    log.warning(
-                        "experiment %s sweep=%s trial=%d method=%s failed: %s",
-                        config.id, sweep_value, t, mth, exc,
-                    )
-                    continue
-                ts = res.transcript
-                acc[mth].append(
-                    (res.metrics.fdp, res.metrics.tdp, ts.bits_up, ts.bits_down, ts.rounds)
-                )
+        point = config.instantiate(sweep_value)
+        acc = _simulate_point(config, s_idx, point, sim_methods) if sim_methods else {}
         for mth in sim_methods:
-            data = np.array(acc[mth], dtype=float)
-            if data.size == 0:
-                continue
+            data = acc[mth]
             k = data.shape[0]
             mean = data.mean(axis=0)
             se = data[:, :2].std(axis=0, ddof=1) / math.sqrt(k) if k > 1 else (0.0, 0.0)
@@ -231,7 +415,7 @@ def run_experiment(config: ExperimentConfig, out_csv=None):
                 mean[2], mean[3], mean[4], k,
             ))
         if "optimal" in config.methods:
-            _, fdr, power = optimal_region(net, config.alpha)
+            _, fdr, power = optimal_region(point[0], config.alpha)
             rows.append(ResultRow(
                 float(sweep_value), "optimal", fdr, 0.0, power, 0.0, 0.0, 0.0, 0.0, 0,
             ))

@@ -109,19 +109,34 @@ class IntervalSelection:
         return frozenset(self.cells)
 
 
+def greedy_order(node, cell, h, alpha: float):
+    """Array form of the greedy selection, in the protocol's order.
+
+    Cells go by density h descending, ties by node and then cell ascending.
+    The k-th is selected while k <= alpha * (running sum of the first k
+    densities, accumulated in that order, as the protocol does) and its
+    density is positive.  Returns the positions of the selected cells in
+    selection order and their density total.
+    """
+    h = np.asarray(h, dtype=float)
+    order = np.lexsort((cell, node, -h))
+    hs = h[order]
+    run = np.cumsum(hs)
+    ok = (np.arange(1, hs.size + 1) <= alpha * run) & (hs > 0.0)
+    k = hs.size if ok.all() else int(np.argmin(ok))
+    return order[:k], float(run[k - 1]) if k else 0.0
+
+
 def greedy_select(densities, alpha: float) -> IntervalSelection:
     """Batch form of the round-based aggregation: top-M cells by density,
-    ties broken by (node, cell) ascending."""
-    order = sorted(densities, key=lambda c: (-c.h, c.node, c.cell))
-    mstar = select_mstar([c.h for c in order], alpha)
-    # never select empty cells: rejecting a zero-density interval adds no
-    # discoveries and the round-based protocol stops at density zero
-    while mstar > 0 and order[mstar - 1].h == 0.0:
-        mstar -= 1
-    chosen = order[:mstar]
-    total = sum(c.h for c in chosen)
-    fdr_hat = mstar / total if mstar else 0.0
-    return IntervalSelection(tuple((c.node, c.cell) for c in chosen), mstar, fdr_hat)
+    ties broken by (node, cell) ascending; see greedy_order."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    node = np.array([c.node for c in densities], dtype=int)
+    cell = np.array([c.cell for c in densities], dtype=int)
+    picked, total = greedy_order(node, cell, [c.h for c in densities], alpha)
+    chosen = tuple(zip(node[picked].tolist(), cell[picked].tolist()))
+    return IntervalSelection(chosen, len(chosen), len(chosen) / total if chosen else 0.0)
 
 
 def true_cell_densities(net: NetworkModel, grid: IntervalGrid) -> list[CellDensity]:
@@ -167,14 +182,18 @@ def selection_asymptotics(regions, net: NetworkModel) -> tuple[float, float]:
         raise ValueError("one region list per node required")
     num = den = gain = 0.0
     for node, intervals in zip(net.nodes, regions):
+        intervals = sorted(intervals)
         prev_end = -np.inf
-        for a, b in sorted(intervals):
+        for a, b in intervals:
             if not (0.0 <= a <= b <= 1.0):
                 raise ValueError(f"interval ({a}, {b}) outside [0, 1]")
             if a < prev_end:
                 raise ValueError("intervals within a node must be disjoint")
             prev_end = b
-            g_mass = mixture_cdf(node, b) - mixture_cdf(node, a)
+        if not intervals:
+            continue
+        ends = mixture_cdf(node, np.array(intervals, dtype=float))
+        for (a, b), g_mass in zip(intervals, (ends[:, 1] - ends[:, 0]).tolist()):
             num += node.q * node.r0 * (b - a)
             den += node.q * g_mass
             gain += node.q * (g_mass - node.r0 * (b - a))

@@ -53,6 +53,11 @@ TERM_FDR_EXCEEDED = "fdr_exceeded"
 TERM_ALL_REJECTED = "all_rejected"
 TERM_BUDGET_EXHAUSTED = "budget_exhausted"
 
+# what an estimator raises when it cannot estimate a sample, so that the node
+# falls back instead (ValueError covers DegenerateSpacingError); any other
+# exception is a programming error and propagates
+ESTIMATOR_FAILURES = (ValueError, RuntimeError)
+
 CONTROL_BITS = 2  # encodes the {1, 0, -1} control alphabet
 PVALUE_BITS = 64  # reporting convention for shipping one real p-value
 
@@ -138,7 +143,7 @@ def _estimate_all(sample: LabeledSample, estimator, transcript: Transcript):
     for i, p in enumerate(sample.pvalues):
         try:
             est = estimator(p, i)
-        except Exception as exc:  # estimator failure must not abort the network
+        except ESTIMATOR_FAILURES as exc:  # a failed node must not abort the network
             transcript.notes.append(f"node {i}: estimator failed: {exc}")
             est = None
         values.append(est)
@@ -172,7 +177,8 @@ def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> P
     """Centralized baseline: ship all p-values, adaptive BH on the pool.
 
     Bit accounting uses the 64-bits-per-p-value shipping convention; this
-    is a reporting choice for comparison plots.
+    is a reporting choice for comparison plots.  A failed or zero pooled
+    estimate falls back to r0 = 1, with a transcript note.
     """
     if sample.m == 0:
         raise ValueError("sample is empty")
@@ -182,7 +188,9 @@ def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> P
         transcript.add(1, UP, i, CENTER, ("pvalues", int(mi)), PVALUE_BITS * int(mi))
     try:
         est = make_estimator(estimator)(pooled, 0)
-    except Exception as exc:
+        if est.value == 0.0:
+            raise ValueError("an estimate of 0 leaves adaptive BH no level")
+    except ESTIMATOR_FAILURES as exc:
         transcript.notes.append(f"pooled estimator failed: {exc}")
         est = NullProportionEstimate(1.0, "fallback", {})
     outcome = adaptive_bh(pooled, alpha, est)
@@ -246,7 +254,10 @@ def run_proportion_matching(
         return ProtocolResult(outcomes, glob, per_node, transcript)
 
     r0_star_hat = min(m0_total / m, R0_STAR_CLAMP)
-    target = min(alpha / r0_star_hat, 1.0) if adaptive else alpha
+    if not adaptive:
+        target = alpha
+    else:  # every node sending 0 nulls gives r0_star_hat = 0 and the full level
+        target = min(alpha / r0_star_hat, 1.0) if r0_star_hat > 0.0 else 1.0
     beta_star = beta_slope(target, r0_star_hat) if target < 1.0 else 1.0
     beta_star = max(beta_star, 1.0)
 
@@ -378,6 +389,33 @@ def run_greedy_aggregation(
     outcomes = _cells_to_outcomes(selected, cells)
     glob, per_node = confusion_metrics(outcomes, sample)
     return ProtocolResult(outcomes, glob, per_node, transcript, selection)
+
+
+def greedy_cost(m_per_node, cells_per_node, granted):
+    """(bits_up, bits_down, rounds) of greedy runs, from the message schedule.
+
+    cells_per_node holds each node's cell count K (0 for a node without
+    cells) and granted how many of its cells the center granted; both are
+    (..., n) arrays, one row per run.  Setup sends every size up and the
+    total down.  In round 1 each node reports a count, or the 2-bit
+    exhausted signal when it has no cells.  Each grant costs a 2-bit signal
+    down (the first, in round 1, also sends 0 to the other n-1 nodes) and
+    one update from the winner in the next round: a count, or the exhausted
+    signal after its last cell.  A final 2-bit broadcast ends the run, so
+    rounds = grants + 1.
+    """
+    count_bits = _bits_for_count(int(sum(m_per_node)) + 1)
+    K, g = np.asarray(cells_per_node), np.asarray(granted)
+    grants = g.sum(axis=-1)
+    exhausted = np.count_nonzero((K > 0) & (g == K), axis=-1)
+    bits_up = (
+        sum(_bits_for_count(int(mi) + 1) for mi in m_per_node)
+        + np.where(K > 0, count_bits, CONTROL_BITS).sum(axis=-1)
+        + grants * count_bits - exhausted * (count_bits - CONTROL_BITS)
+    )
+    zeros = np.where(grants > 0, len(m_per_node) - 1, 0)
+    bits_down = count_bits + CONTROL_BITS * (grants + zeros + 1)
+    return bits_up, bits_down, grants + 1
 
 
 def _cells_to_outcomes(selected, cells):

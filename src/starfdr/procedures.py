@@ -26,6 +26,20 @@ def _empty_outcome() -> RejectionOutcome:
     return RejectionOutcome(np.empty(0, dtype=int), 0, 0.0)
 
 
+def bh_step_up(sorted_rows, levels) -> np.ndarray:
+    """Row-wise step-up count of BH on rows of ascending p-values.
+
+    Per row, the largest k with P_(k) <= level*k/m, or 0 when there is none
+    (always 0 for a NaN level).  sorted_rows is (t, m) and levels (t,).
+    """
+    rows = np.asarray(sorted_rows, dtype=float)
+    t, m = rows.shape
+    if m == 0:
+        return np.zeros(t, dtype=int)
+    ok = rows <= np.asarray(levels, dtype=float)[:, None] * np.arange(1, m + 1) / m
+    return np.where(ok.any(axis=1), m - np.argmax(ok[:, ::-1], axis=1), 0)
+
+
 def bh_procedure(pvalues, alpha: float) -> RejectionOutcome:
     """Step-up BH: reject the k largest-feasible smallest p-values.
 
@@ -36,13 +50,9 @@ def bh_procedure(pvalues, alpha: float) -> RejectionOutcome:
         raise ValueError("alpha must lie in (0, 1]")
     p = np.asarray(pvalues, dtype=float)
     m = p.size
-    if m == 0:
+    k_hat = int(bh_step_up(np.sort(p)[None], [alpha])[0])
+    if k_hat == 0:
         return _empty_outcome()
-    ps = np.sort(p)
-    ok = ps <= alpha * np.arange(1, m + 1) / m
-    if not ok.any():
-        return _empty_outcome()
-    k_hat = int(np.flatnonzero(ok)[-1]) + 1
     tau = alpha * k_hat / m
     rejected = np.flatnonzero(p <= tau)
     return RejectionOutcome(rejected, k_hat, tau)

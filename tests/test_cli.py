@@ -72,3 +72,17 @@ def test_mismatched_config_lengths(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("q = 1.0\nr0 = 0.5, 0.7\nmu = 2.0\n")
     assert cli(["optimal-region", "--config", str(cfg)]) == 2
+
+
+def test_bench_times_a_sweep_point(capsys):
+    assert cli(["bench"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and lines[-1].startswith("sweep 2c@3, 40 trials:  ")
+    assert lines[-1].endswith(" s")
+
+
+def test_unknown_method_runtime_error(tmp_path, capsys):
+    out = tmp_path / "exp.csv"
+    assert cli(["experiment", "2c", "--trials", "1", "--methods", "greedy,bh",
+                "--out", str(out)]) == 2
+    assert "unknown methods" in capsys.readouterr().err and not out.exists()
