@@ -52,7 +52,6 @@ from .greedy import (
     default_epsilon,
     greedy_select,
     oracle_interval_set,
-    select_mstar,
     selection_asymptotics,
     selection_regions,
     true_cell_densities,

@@ -272,16 +272,76 @@ class LabeledSample:
         return p, ids, lab
 
 
-def _ar1_latent(rng: np.random.Generator, m: int, rho: float) -> np.ndarray:
-    """Stationary AR(1) sequence with unit marginals and corr rho^|i-j|."""
-    eps = rng.standard_normal(m)
-    if m == 0 or rho == 0.0:
-        return eps
+def node_columns(sizes) -> list:
+    """Each node's column slice of sample_rows' (t, m) rows, in node order."""
+    ends = np.cumsum(sizes, dtype=int).tolist()
+    return [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def sample_rows(net: NetworkModel, sizes, dep: DependenceSpec, mean_jitter, rngs):
+    """Draw one trial per generator in rngs as stacked rows: (P, N).
+
+    P holds the p-values and N the null labels (True = truly null), both
+    (t, m) with t = len(rngs) and node i in columns node_columns(sizes)[i].
+    Row r is the trial sample_trial draws from rngs[r] at these per-node
+    sizes, bit for bit: each generator makes the same calls in the same
+    order (per node, the jitter uniform, then random(m_i), then
+    standard_normal(m_i)), and the arithmetic after the draws runs once per
+    node over all rows, in place.
+    """
+    counts = np.asarray(sizes, dtype=int)
+    if counts.shape != (len(net),):
+        raise ValueError("sizes must provide one count per node")
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    t, m = len(rngs), int(counts.sum())
+    cols = node_columns(counts)
+    U, P = np.empty((t, m)), np.empty((t, m))
+    mu = np.tile([node.alt.mu for node in net.nodes], (t, 1))
+    for r, rng in enumerate(rngs):
+        for i, c in enumerate(cols):
+            if mean_jitter is not None:
+                mu[r, i] = rng.uniform(mu[r, i] - mean_jitter, mu[r, i] + mean_jitter)
+            rng.random(out=U[r, c])
+            rng.standard_normal(out=P[r, c])
+
+    N = np.empty((t, m), dtype=bool)
+    rho = dep.rho if dep.kind == TAPERING_AR else 0.0
+    for node, c, mu_i in zip(net.nodes, cols, mu.T):
+        if c.start == c.stop:
+            continue
+        null, z = N[:, c], P[:, c]
+        np.less(U[:, c], node.r0, out=null)
+        if rho > 0.0:
+            z[...] = _ar1_rows(z, rho)
+        # the shift is mu for an alternative and a zero for a null (-0.0 when
+        # mu < 0, which gives the same p-value as 0.0)
+        shift = np.multiply(~null, mu_i[:, None])
+        if node.alt.kind == GAUSSIAN:  # p = Q(z + shift)
+            z += shift
+            ndtr(np.negative(z, out=z), out=z)
+        else:
+            # Gaussian copula keeps the rho^|i-j| latent structure while
+            # the marginal statistic stays standard Cauchy
+            np.clip(ndtr(z, out=z), _P_EPS, _P_TOP, out=z)
+            z -= 0.5
+            z *= np.pi
+            np.tan(z, out=z)
+            z += shift
+            np.arctan(z, out=z)
+            z /= np.pi
+            np.subtract(0.5, z, out=z)
+    np.clip(P, _P_EPS, _P_TOP, out=P)
+    return P, N
+
+
+def _ar1_rows(eps: np.ndarray, rho: float) -> np.ndarray:
+    """Stationary AR(1) rows with unit marginals and corr rho^|i-j|."""
     from scipy.signal import lfilter  # here: it is most of the package's import time
 
     x = eps * math.sqrt(1.0 - rho * rho)
-    x[0] = eps[0]
-    return lfilter([1.0], [1.0, -rho], x)
+    x[:, 0] = eps[:, 0]
+    return lfilter([1.0], [1.0, -rho], x, axis=1)
 
 
 def sample_trial(
@@ -298,43 +358,14 @@ def sample_trial(
     When mean_jitter is set, each node draws one location shift per trial
     uniformly within +-mean_jitter of its base mu.  Identical seeds give
     identical samples; the rho=0 tapering regime coincides with the
-    independent path draw for draw.
+    independent path draw for draw.  This is sample_rows with one row.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = len(net)
     if np.isscalar(sizes):
         total = int(sizes)
         if total < 0:
             raise ValueError("total count must be nonnegative")
-        counts = rng.multinomial(total, net.q)
-    else:
-        counts = np.asarray(sizes, dtype=int)
-        if len(counts) != n:
-            raise ValueError("sizes must provide one count per node")
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
-
-    rho = dep.rho if dep.kind == TAPERING_AR else 0.0
-    pvals, labels = [], []
-    for node, mi in zip(net.nodes, counts):
-        mi = int(mi)
-        mu = node.alt.mu
-        if mean_jitter is not None:
-            mu = rng.uniform(mu - mean_jitter, mu + mean_jitter)
-        is_null = rng.random(mi) < node.r0
-        z = _ar1_latent(rng, mi, rho)
-        shift = np.where(is_null, 0.0, mu)
-        if node.alt.kind == GAUSSIAN:
-            x = shift + z
-            p = normal_tail(x)
-        else:
-            # Gaussian copula keeps the rho^|i-j| latent structure while
-            # the marginal statistic stays standard Cauchy
-            u = ndtr(z)
-            u = np.clip(u, _P_EPS, _P_TOP)
-            x = shift + np.tan(np.pi * (u - 0.5))
-            p = 0.5 - np.arctan(x) / np.pi
-        pvals.append(np.clip(p, _P_EPS, _P_TOP))
-        labels.append(is_null)
-    return LabeledSample(pvals, labels)
-
+        sizes = rng.multinomial(total, net.q)
+    P, N = sample_rows(net, sizes, dep, mean_jitter, [rng])
+    cols = node_columns(sizes)
+    return LabeledSample([P[0, c] for c in cols], [N[0, c] for c in cols])

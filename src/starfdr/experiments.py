@@ -9,7 +9,6 @@ method.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import os
@@ -25,10 +24,12 @@ from .distmodel import (
     DependenceSpec,
     NetworkModel,
     NodeModel,
+    node_columns,
+    sample_rows,
     sample_trial,
 )
 from .estimators import default_spacing_schedule, oracle_estimate, spacing_values
-from .greedy import build_grid, default_epsilon, greedy_order, node_cells
+from .greedy import build_grid, default_epsilon, greedy_rows, row_cells
 from .netsim import (
     ESTIMATOR_FAILURES,
     greedy_cost,
@@ -185,9 +186,9 @@ class ResultRow:
         ]
 
 
-# elements per stacked array in one block of trials: 5 trials at m = 3,000,
-# one at m = 300,000, so memory stays flat as m and the trial count grow
-BLOCK_ELEMENTS = 2**14
+# elements per stacked array in one block of trials: 43 trials at m = 3,000,
+# one from m = 131,072 up, so memory stays flat as m and the trial count grow
+BLOCK_ELEMENTS = 2**17
 
 
 def _point_estimators(choice, net):
@@ -216,30 +217,30 @@ def _row_estimates(choice, est, rows, sorted_rows, i):
 
 
 class _TrialBlock:
-    """Consecutive trials of one sweep point, stacked per node as (t, m_i)
-    rows: p-values, null labels, sorted p-values and one estimate per row
-    (r0, (t, n), NaN where the estimator failed), each computed once."""
+    """Consecutive trials of one sweep point: sample_rows' (t, m) rows, and
+    per node (t, m_i) views of the p-values and null labels, the sorted
+    p-values and one estimate per row (r0, (t, n), NaN where the estimator
+    failed), each computed once."""
 
-    def __init__(self, samples, choice, node_est, pooled_est):
-        n = samples[0].n_nodes
-        self.P = [np.stack([s.pvalues[i] for s in samples]) for i in range(n)]
-        self.N = [np.stack([s.null_labels[i] for s in samples]) for i in range(n)]
+    def __init__(self, P, N, sizes, choice, node_est, pooled_est):
+        cols = node_columns(sizes)
+        self.P = [P[:, c] for c in cols]
+        self.N = [N[:, c] for c in cols]
         self.S = [np.sort(p, axis=1) for p in self.P]
         self.r0 = np.column_stack([
             _row_estimates(choice, node_est, p, srt, i)
             for i, (p, srt) in enumerate(zip(self.P, self.S))
         ])
-        self.sizes = samples[0].m_per_node
-        self.m1 = sum(np.count_nonzero(~lab, axis=1) for lab in self.N)
+        self.sizes = sizes
+        self.m1 = np.count_nonzero(~N, axis=1)
+        self._rows = P, N
         self._choice, self._pooled_est = choice, pooled_est
 
-    @functools.cached_property
     def pooled(self):
         """The pooled rows: (p-values, sorted, null labels, estimates)."""
-        p = np.concatenate(self.P, axis=1)
-        srt = np.sort(p, axis=1)
-        est = _row_estimates(self._choice, self._pooled_est, p, srt, 0)
-        return p, srt, np.concatenate(self.N, axis=1), est
+        P, N = self._rows
+        srt = np.sort(P, axis=1)
+        return P, srt, N, _row_estimates(self._choice, self._pooled_est, P, srt, 0)
 
 
 def _bh_rv(P, S, N, levels):
@@ -277,7 +278,7 @@ def _no_comm(block, alpha, eps, cost):
 
 
 def _pooled_bh(block, alpha, eps, cost):
-    P, S, N, r0 = block.pooled
+    P, S, N, r0 = block.pooled()
     r0 = np.where(r0 > 0.0, r0, 1.0)  # run_pooled_bh's fallback for failed or zero
     k, v = _bh_rv(P, S, N, np.minimum(alpha / r0, 1.0))
     return _records(k, v, block.m1, cost)
@@ -287,7 +288,7 @@ def _prop_match(block, alpha, eps, cost):
     """run_proportion_matching(adaptive=True), row-wise in the same float steps."""
     sizes = block.sizes
     m = int(sizes.sum())
-    failed = np.isnan(block.r0)
+    failed = np.isnan(block.r0) | (block.r0 == 0.0)  # send m0 = m_i, reject nothing
     m0 = np.floor(np.where(failed, 1.0, block.r0) * sizes + 0.5).astype(int)
     m0_total = m0.sum(axis=1)
     r0_star = np.minimum(m0_total / m, R0_STAR_CLAMP)
@@ -302,9 +303,9 @@ def _prop_match(block, alpha, eps, cost):
 
 
 def _greedy(block, alpha, eps, _cost):
-    """Greedy aggregation in batch form: cells from node_cells, the
-    protocol's selection order from greedy_order, and the cost from the
-    message schedule."""
+    """Greedy aggregation over all of a block's trials at once: each node's
+    cells from row_cells, the protocol's selection order per trial from
+    greedy_rows, and the cost from the message schedule."""
     sizes = block.sizes
     t, n = block.r0.shape
     m = int(sizes.sum())
@@ -313,22 +314,25 @@ def _greedy(block, alpha, eps, _cost):
     L, K = np.zeros((t, n)), np.zeros((t, n), dtype=int)
     grid = build_grid(eps, np.broadcast_to(sizes / m, (t, n))[has], r0[has])
     L[has], K[has] = grid.lengths, grid.counts
-    scale = eps * m
-    R, V, granted = np.zeros(t, dtype=int), np.zeros(t, dtype=int), np.zeros((t, n), dtype=int)
-    for r in range(t):
-        cells = [node_cells(block.P[i][r], L[r, i], K[r, i]) if K[r, i] else None
-                 for i in range(n)]
-        node = np.repeat(np.arange(n), K[r])
-        cell = np.concatenate([np.arange(1, k + 1) for k in K[r]])
-        counts = np.concatenate([np.zeros(0, int) if c is None else c[1] for c in cells])
-        picked, _ = greedy_order(node, cell, counts / scale, alpha)
-        granted[r] = np.bincount(node[picked], minlength=n)
-        for i in np.flatnonzero(granted[r]):
-            table = np.zeros(K[r, i] + 2, dtype=bool)  # cells 0..K+1, as j runs
-            table[cell[picked][node[picked] == i]] = True
-            hit = table[cells[i][0]]
-            R[r] += np.count_nonzero(hit)
-            V[r] += np.count_nonzero(hit & block.N[i][r])
+    # every trial's candidate cells in (node, cell) order: node i has cells
+    # 1..max K in every row, and those beyond a trial's own K count 0, so
+    # that trial never selects them
+    bins = {i: row_cells(block.P[i], L[:, i], K[:, i]) for i in np.flatnonzero(K.any(axis=0))}
+    H = np.concatenate([np.zeros((t, 0))] + [c for _, c in bins.values()], axis=1) / (eps * m)
+    order, k, _ = greedy_rows(H, alpha)
+    chosen = np.zeros(H.shape, dtype=bool)
+    np.put_along_axis(chosen, order, np.arange(H.shape[1]) < k[:, None], axis=1)
+    granted = np.zeros((t, n), dtype=int)
+    R = V = np.zeros(t, dtype=int)
+    start = 0
+    for i, (idx, counts) in bins.items():
+        width = counts.shape[1]
+        table = np.zeros((t, width + 2), dtype=bool)  # cells 0..max K + 1 of each trial
+        table[:, 1:-1] = chosen[:, start : start + width]
+        start += width
+        granted[:, i] = np.count_nonzero(table, axis=1)
+        hit = table.ravel()[idx]
+        R, V = R + np.count_nonzero(hit, axis=1), V + np.count_nonzero(hit & block.N[i], axis=1)
     return _records(R, V, block.m1, np.column_stack(greedy_cost(sizes, K, granted)))
 
 
@@ -359,30 +363,30 @@ def _simulate_point(config, s_idx, point, methods):
     (trials, 5) array per method.
 
     Trials run in blocks of at most BLOCK_ELEMENTS p-values per stacked
-    array.  Trial 0 also runs through the transcript protocols, which must
-    give the same record exactly; no_comm, pooled_bh and prop_match send
-    the same messages on every trial, so their cost columns are taken
-    from that run.
+    array, drawn together by sample_rows.  Trial 0 is also drawn on its own
+    by sample_trial and run through the transcript protocols, which must
+    give the same record exactly, so the check covers the block sampler
+    too.  no_comm, pooled_bh and prop_match send the same messages on every
+    trial, so their cost columns are taken from that run.
     """
     net, sizes, dep, eps, jitter = point
     node_est, pooled_est = _point_estimators(config.estimator, net)
+
+    def rng(t):
+        return np.random.default_rng(np.random.SeedSequence([config.seed, s_idx, t]))
+
+    trial0 = sample_trial(net, sizes, dep, jitter or None, seed=rng(0))
+    reference = {
+        mth: _protocol_record(mth, trial0, config.alpha, eps, node_est, pooled_est)
+        for mth in methods
+    }
     per_block = max(1, BLOCK_ELEMENTS // int(sizes.sum()))
     out = {mth: np.empty((config.trials, 5)) for mth in methods}
     for start in range(0, config.trials, per_block):
-        stop = min(start + per_block, config.trials)
-        samples = [
-            sample_trial(
-                net, sizes, dep, mean_jitter=jitter or None,
-                seed=np.random.default_rng(np.random.SeedSequence([config.seed, s_idx, t])),
-            )
-            for t in range(start, stop)
-        ]
-        if start == 0:
-            reference = {
-                mth: _protocol_record(mth, samples[0], config.alpha, eps, node_est, pooled_est)
-                for mth in methods
-            }
-        block = _TrialBlock(samples, config.estimator, node_est, pooled_est)
+        rngs = [rng(t) for t in range(start, min(start + per_block, config.trials))]
+        P, N = sample_rows(net, sizes, dep, jitter or None, rngs)
+        block = _TrialBlock(P, N, sizes, config.estimator, node_est, pooled_est)
+        stop = start + len(rngs)
         for mth in methods:
             out[mth][start:stop] = _BATCHED[mth](block, config.alpha, eps, reference[mth][2:])
     for mth in methods:

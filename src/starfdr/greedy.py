@@ -1,5 +1,5 @@
 """Interval-grid machinery: candidate cells per node, p-value densities,
-the oracle top-M* selection, and asymptotic FDR/power of interval unions."""
+the greedy top-M* selection, and asymptotic FDR/power of interval unions."""
 
 from __future__ import annotations
 
@@ -54,19 +54,37 @@ class CellDensity:
     h: float
 
 
-def node_cells(p, L: float, K: int):
-    """Bin one node's p-values (all in [0, 1]) into its K cells of length L.
+def row_cells(P, L, K):
+    """Bin t rows of one node's p-values (t, m_i), all in [0, 1], into each
+    row's K cells of length L (both length t; a row with K = 0 has no cells).
 
     Cell 1 is the closed [0, L] and the others are half-open ((j-1)L, jL]:
-    a p-value exactly at a right endpoint belongs to that cell.  Returns
-    (j, counts, ranking): each p-value's 1-based cell j = max(ceil(p/L), 1),
-    which is K+1 for p above K*L (in no cell); the counts of cells 1..K;
-    and the cells 1..K ordered by count descending, then cell ascending.
+    a p-value exactly at a right endpoint belongs to that cell.  A p-value's
+    1-based cell is j = max(ceil(p/L), 1), which is K+1 for p above K*L (in
+    no cell).  Returns (idx, counts): idx = r*(max K + 2) + j, each p-value's
+    position in a flat (t, max K + 2) table over cells 0..max K + 1, and the
+    (t, max K) counts of cells 1..max K, zero beyond a row's K.
     """
-    j = np.maximum(np.ceil(np.asarray(p, dtype=float) / L).astype(int), 1)
-    counts = np.bincount(j, minlength=K + 2)[1 : K + 1]
-    ranking = np.argsort(-counts, kind="stable") + 1
-    return j, counts, ranking
+    K = np.asarray(K, dtype=int)
+    width = int(K.max(initial=0)) + 2
+    L = np.where(K > 0, L, np.inf)[:, None]
+    q = np.asarray(P, dtype=float) / L
+    idx = np.ceil(q, out=q).astype(int)
+    np.maximum(idx, 1, out=idx)
+    if len(K) > 1:
+        idx += np.arange(len(K))[:, None] * width
+    counts = np.bincount(idx.ravel(), minlength=len(K) * width).reshape(-1, width)[:, 1:-1]
+    counts[np.arange(1, width - 1) > K[:, None]] = 0
+    return idx, counts
+
+
+def node_cells(p, L: float, K: int):
+    """row_cells for one node's p-values: (j, counts, ranking), with each
+    p-value's cell j, the counts of cells 1..K, and the cells 1..K ordered
+    by count descending, then cell ascending."""
+    j, counts = row_cells(np.asarray(p, dtype=float)[None], [L], [K])
+    counts = counts[0]
+    return j[0], counts, np.argsort(-counts, kind="stable") + 1
 
 
 def cell_densities(grid: IntervalGrid, sample: LabeledSample) -> list[CellDensity]:
@@ -86,18 +104,6 @@ def cell_densities(grid: IntervalGrid, sample: LabeledSample) -> list[CellDensit
     return out
 
 
-def select_mstar(h_values, alpha: float) -> int:
-    """Largest M with M <= alpha * (sum of the M largest densities)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    h = np.sort(np.asarray(h_values, dtype=float))[::-1]
-    if h.size == 0:
-        return 0
-    ok = np.arange(1, h.size + 1) <= alpha * np.cumsum(h)
-    idx = np.flatnonzero(ok)
-    return int(idx[-1]) + 1 if idx.size else 0
-
-
 @dataclass(frozen=True)
 class IntervalSelection:
     cells: tuple  # (node, cell) pairs in selection order
@@ -109,22 +115,36 @@ class IntervalSelection:
         return frozenset(self.cells)
 
 
-def greedy_order(node, cell, h, alpha: float):
-    """Array form of the greedy selection, in the protocol's order.
+def greedy_rows(H, alpha: float):
+    """Array form of the greedy selection: one selection per row of the
+    densities H (t, C), whose columns are the candidate cells in (node,
+    cell) order.
 
-    Cells go by density h descending, ties by node and then cell ascending.
-    The k-th is selected while k <= alpha * (running sum of the first k
-    densities, accumulated in that order, as the protocol does) and its
-    density is positive.  Returns the positions of the selected cells in
-    selection order and their density total.
+    In each row, cells go by density descending, ties by column, so by
+    node and then cell ascending.  The k-th is selected while
+    k <= alpha * (running sum of the first k densities, accumulated in that
+    order, as the protocol does) and its density is positive.  Returns
+    (order, k, total): each row's columns in that order, how many of them
+    are selected, and the selected density total.
     """
-    h = np.asarray(h, dtype=float)
-    order = np.lexsort((cell, node, -h))
-    hs = h[order]
-    run = np.cumsum(hs)
-    ok = (np.arange(1, hs.size + 1) <= alpha * run) & (hs > 0.0)
-    k = hs.size if ok.all() else int(np.argmin(ok))
-    return order[:k], float(run[k - 1]) if k else 0.0
+    H = np.asarray(H, dtype=float)
+    t, C = H.shape
+    order = np.argsort(-H, axis=1, kind="stable")
+    hs = np.zeros((t, C + 1))  # the zero column ends every row
+    hs[:, :C] = np.take_along_axis(H, order, axis=1)
+    run = np.cumsum(hs, axis=1)
+    ok = (np.arange(1, C + 2) <= alpha * run) & (hs > 0.0)
+    k = np.argmin(ok, axis=1)
+    return order, k, np.where(k > 0, run[np.arange(t), k - 1], 0.0)
+
+
+def greedy_order(node, cell, h, alpha: float):
+    """greedy_rows for one selection over cells given in any order: the
+    positions of the selected cells in selection order and their density
+    total."""
+    by_cell = np.lexsort((cell, node))
+    order, k, total = greedy_rows(np.asarray(h, dtype=float)[by_cell][None], alpha)
+    return by_cell[order[0, : k[0]]], float(total[0])
 
 
 def greedy_select(densities, alpha: float) -> IntervalSelection:

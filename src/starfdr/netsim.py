@@ -228,12 +228,18 @@ def run_proportion_matching(
     each node recomputes the shared slope and runs BH at its matched local
     size.  With adaptive=True the target level is scaled to
     alpha / r0_star_hat (the configuration used in the experiment sweeps).
+    A node whose estimate fails or is 0 sends m0 = m_i and rejects nothing,
+    with a transcript note.
     """
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript(rounds=1)
     estimator = make_estimator(estimator)
     estimates = _estimate_all(sample, estimator, transcript)
+    for i, est in enumerate(estimates):
+        if est is not None and est.value == 0.0:
+            transcript.notes.append(f"node {i}: an estimate of 0 is treated as failed")
+            estimates[i] = None
     m = sample.m
     m_per_node = sample.m_per_node
 

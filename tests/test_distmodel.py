@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, signal, special, stats
 
 import starfdr as sf
+from starfdr.distmodel import sample_rows
 
 ALTS = [
     sf.gaussian_alt(0.5),
@@ -233,6 +234,65 @@ class TestSampleTrial:
         assert len(p) == 50
         assert np.array_equal(np.bincount(ids), [30, 20])
         assert lab.dtype == bool
+
+
+EPS, TOP = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg
+
+
+def _per_trial_draw(net, sizes, dep, mean_jitter, rng):
+    """The per-trial sampler that sample_rows replaced: node by node, draw
+    and transform one trial's p-values."""
+    rho = dep.rho if dep.kind == sf.TAPERING_AR else 0.0
+    pvals, labels = [], []
+    for node, mi in zip(net.nodes, sizes):
+        mu = node.alt.mu
+        if mean_jitter is not None:
+            mu = rng.uniform(mu - mean_jitter, mu + mean_jitter)
+        is_null = rng.random(mi) < node.r0
+        z = rng.standard_normal(mi)
+        if mi and rho:
+            x = z * np.sqrt(1.0 - rho * rho)
+            x[0] = z[0]
+            z = signal.lfilter([1.0], [1.0, -rho], x)
+        shift = np.where(is_null, 0.0, mu)
+        if node.alt.kind == sf.GAUSSIAN:
+            p = sf.normal_tail(shift + z)
+        else:
+            u = np.clip(special.ndtr(z), EPS, TOP)
+            p = 0.5 - np.arctan(shift + np.tan(np.pi * (u - 0.5))) / np.pi
+        pvals.append(np.clip(p, EPS, TOP))
+        labels.append(is_null)
+    return pvals, labels
+
+
+TAPER_0 = sf.DependenceSpec(sf.TAPERING_AR, 0.0)
+AR_9 = sf.DependenceSpec(sf.TAPERING_AR, 0.9)
+SAMPLER_CASES = {  # name: (experiment, sweep value, sizes or None for the config's, dep, jitter)
+    "gaussian": ("1", 100, None, sf.DependenceSpec(), 0.5),
+    "cauchy": ("2b", 4, None, sf.DependenceSpec(), None),
+    "mixed": ("2c", 3, None, sf.DependenceSpec(), 0.5),
+    "ar1": ("3", 0.9, None, AR_9, 0.5),
+    "taper-rho0": ("2c", 2, None, TAPER_0, None),
+    "zero-size-node": ("2c", 5, (40, 0, 30, 1, 25), AR_9, 0.5),
+}
+
+
+@pytest.mark.parametrize("t", [1, 7])
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+def test_sample_rows_match_per_trial_draws(case, t):
+    exp, value, sizes, dep, jitter = SAMPLER_CASES[case]
+    net, cfg_sizes, _, _, _ = sf.builtin_config(exp).instantiate(value)
+    sizes = cfg_sizes if sizes is None else np.array(sizes)
+    P, N = sample_rows(net, sizes, dep, jitter, [np.random.default_rng([9, r]) for r in range(t)])
+    assert P.shape == N.shape == (t, sizes.sum())
+    for r in range(t):
+        want_p, want_n = _per_trial_draw(net, sizes, dep, jitter, np.random.default_rng([9, r]))
+        s = sf.sample_trial(net, sizes, dep, jitter, seed=np.random.default_rng([9, r]))
+        for got_p, got_n in ((np.concatenate(s.pvalues), np.concatenate(s.null_labels)),
+                             (P[r], N[r])):
+            assert got_p.tobytes() == np.concatenate(want_p).tobytes()
+            assert np.array_equal(got_n, np.concatenate(want_n))
+        assert [len(p) for p in s.pvalues] == sizes.tolist()
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starfdr as sf
+from starfdr.greedy import greedy_order
 
 
 class TestBuildGrid:
@@ -85,17 +86,29 @@ class TestCellDensities:
 
 
 class TestSelectMstar:
+    """M*, the number of cells the greedy selection takes: greedy_order's
+    count, and greedy_select's argument check."""
+
+    @staticmethod
+    def _mstar(h, alpha):
+        h = np.asarray(h, dtype=float)
+        picked, _ = greedy_order(np.zeros(h.size, dtype=int), np.arange(1, h.size + 1), h, alpha)
+        return picked.size
+
     def test_examples(self):
-        assert sf.select_mstar([15, 6, 2], 0.1) == 2
-        assert sf.select_mstar([5], 0.1) == 0
-        assert sf.select_mstar([30, 10, 4], 0.1) == 3
+        assert self._mstar([15, 6, 2], 0.1) == 2
+        assert self._mstar([5], 0.1) == 0
+        assert self._mstar([30, 10, 4], 0.1) == 3
+        # the running sum in selection order is 7.999999999999999, not 8, so the
+        # fourth cell fails 4 <= 0.5 * sum, as it does in the protocol
+        assert self._mstar([3.3, 3.3, 1.1, 0.3], 0.5) == 3
 
     def test_empty(self):
-        assert sf.select_mstar([], 0.2) == 0
+        assert self._mstar([], 0.2) == 0
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
-            sf.select_mstar([1.0], 1.0)
+            sf.greedy_select([sf.CellDensity(0, 1, 0, 1.0)], 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -103,11 +116,12 @@ class TestSelectMstar:
         alpha=st.floats(0.01, 0.99),
     )
     def test_prefix_property(self, h, alpha):
-        mstar = sf.select_mstar(h, alpha)
+        mstar = self._mstar(h, alpha)
         hs = np.sort(np.asarray(h))[::-1]
         csum = np.cumsum(hs)
         for M in range(1, len(h) + 1):
-            ok = M <= alpha * csum[M - 1]
+            # greedy_order also stops at the first cell of density 0
+            ok = M <= alpha * csum[M - 1] and hs[M - 1] > 0.0
             assert ok == (M <= mstar)
 
 

@@ -76,11 +76,48 @@ def _builtin(exp_id, values, trials):
     _tiny(sweep_values=(3,), estimator="storey", trials=110),
     _tiny(trials=1),
     _tiny(methods=("greedy", "no_comm")),
+    # three blocks each: 43 + 43 + 4 trials at m = 3,000, and one trial per block at
+    # m = 94,870; the greedy cell counts K differ across the rows of a block
+    _builtin("2c", (3,), 90),
+    _builtin("3", (0.9,), 90),
+    _builtin("1", (31623,), 3),
 ], ids=["1@1000", "1@100000", "2a", "2b", "2c", "3", "n=3", "storey", "pooled-r0=0", "trials=1",
-     "subset"])
+     "subset", "2c-3-blocks", "3-3-blocks", "1-3-blocks"])
 def test_engine_matches_per_trial_loop(config):
     rows = [r.as_record() for r in sf.run_experiment(config)]
     assert rows == _reference_records(config)
+
+
+def test_multi_block_cases_span_three_blocks():
+    for exp, value, trials in (("2c", 3, 90), ("3", 0.9, 90), ("1", 31623, 3)):
+        sizes = _builtin(exp, (value,), trials).instantiate(value)[1]
+        assert trials > 2 * max(1, experiments.BLOCK_ELEMENTS // int(sizes.sum()))
+    # in the first block of 2c@3 (43 trials), node 0's cell count K varies by trial
+    cfg = _builtin("2c", (3,), 90)
+    net, sizes, dep, eps, jitter = cfg.instantiate(3)
+    K = set()
+    for t in range(experiments.BLOCK_ELEMENTS // int(sizes.sum())):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, t]))
+        p = sf.sample_trial(net, sizes, dep, mean_jitter=jitter, seed=rng).pvalues[0]
+        r0 = sf.make_estimator("spacing")(p, 0).value
+        K.add(int(sf.build_grid(eps, [sizes[0] / sizes.sum()], [r0]).counts[0]))
+    assert len(K) > 1
+
+
+def test_zero_estimate_prop_match_rejects_nothing():
+    # trial 72: all nine p-values are at or below 1/2, so storey estimates 0 at every
+    # node; prop_match used to reject all 9 there (V = 6, FDP 0.67)
+    cfg = _tiny(sweep_values=(3,), estimator="storey", trials=73, methods=("prop_match",))
+    point = cfg.instantiate(3)
+    net, sizes, dep, eps, jitter = point
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, 72]))
+    s = sf.sample_trial(net, sizes, dep, mean_jitter=jitter, seed=rng)
+    assert all(sf.storey_estimate(p).value == 0.0 for p in s.pvalues)
+    res = sf.run_proportion_matching(s, cfg.alpha, "storey", adaptive=True)
+    assert res.metrics.R == 0
+    assert sum("estimate of 0" in note for note in res.transcript.notes) == len(sizes)
+    engine = experiments._simulate_point(cfg, 0, point, ["prop_match"])["prop_match"]
+    assert engine[72, :2].tolist() == [0.0, 0.0]
 
 
 def test_trial_zero_cross_check(monkeypatch):
