@@ -5,8 +5,6 @@ a single round of integer messages, then test locally.  Compare against
 testing with no communication and against shipping every p-value.
 """
 
-import numpy as np
-
 import starfdr as sf
 
 net = sf.NetworkModel([
@@ -18,17 +16,19 @@ net = sf.NetworkModel([
 ])
 sizes = (1000, 800, 600, 400, 200)
 sample = sf.sample_trial(net, sizes, mean_jitter=0.5, seed=7)
+matched = sf.run_proportion_matching(sample, 0.2, adaptive=True)
 
-print("node   m     r0    calibrated local level")
-ests = [sf.make_estimator("spacing")(p, i) for i, p in enumerate(sample.pvalues)]
-cal = sf.calibrate_proportion_matching(sizes, ests, 0.2, integer_messages=True)
-for i, a in enumerate(cal.alpha_locals):
-    print(f"  {i}   {sizes[i]:4d}  {net.nodes[i].r0:.1f}   alpha_hat = {a:.4f}")
-print(f"network estimate r0*_hat = {cal.r0_star_hat:.4f}, slope = {cal.beta_star_hat:.3f}")
+# the levels of that run: each node's estimate, sent as a rounded null count
+print("node   m     r0    r0_hat  sent m0  local level")
+ests = [[sf.make_estimator("spacing")(p, i).value for i, p in enumerate(sample.pvalues)]]
+levels = sf.estimate_levels(ests, sizes, 0.2, adaptive=True)
+for i, (r0, m0, a) in enumerate(zip(levels.r0[0], levels.m0[0], levels.prop_match[0])):
+    print(f"  {i}   {sizes[i]:4d}  {net.nodes[i].r0:.1f}   {r0:.4f}  {m0:7d}  alpha_hat = {a:.4f}")
+print(f"network estimate r0*_hat = {levels.r0_star[0]:.4f}, slope = {levels.beta[0]:.3f}")
 
 for name, res in [
     ("no communication", sf.run_no_comm(sample, 0.2)),
-    ("proportion matching", sf.run_proportion_matching(sample, 0.2, adaptive=True)),
+    ("proportion matching", matched),
     ("pooled BH", sf.run_pooled_bh(sample, 0.2)),
 ]:
     t = res.transcript
@@ -36,4 +36,4 @@ for name, res in [
           f"bits up/down = {t.bits_up}/{t.bits_down}")
 
 print("\nproportion-matching transcript (round, dir, from, to, payload, bits):")
-print(sf.run_proportion_matching(sample, 0.2).transcript.serialize())
+print(matched.transcript.serialize())

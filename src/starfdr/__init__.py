@@ -89,6 +89,7 @@ from .procedures import (
     bh_procedure,
     calibrate_proportion_matching,
     confusion_metrics,
+    estimate_levels,
     local_alpha,
 )
 

@@ -40,7 +40,7 @@ from .netsim import (
     run_proportion_matching,
 )
 from .oracleopt import optimal_region
-from .procedures import R0_STAR_CLAMP, bh_step_up
+from .procedures import bh_step_up, estimate_levels, usable_estimates
 
 CSV_HEADER = [
     "sweep", "method", "fdr", "fdr_se", "power", "power_se",
@@ -220,17 +220,17 @@ class _TrialBlock:
     """Consecutive trials of one sweep point: sample_rows' (t, m) rows, and
     per node (t, m_i) views of the p-values and null labels, the sorted
     p-values and one estimate per row (r0, (t, n), NaN where the estimator
-    failed), each computed once."""
+    failed or gave 0, by usable_estimates), each computed once."""
 
     def __init__(self, P, N, sizes, choice, node_est, pooled_est):
         cols = node_columns(sizes)
         self.P = [P[:, c] for c in cols]
         self.N = [N[:, c] for c in cols]
         self.S = [np.sort(p, axis=1) for p in self.P]
-        self.r0 = np.column_stack([
+        self.r0 = usable_estimates(np.column_stack([
             _row_estimates(choice, node_est, p, srt, i)
             for i, (p, srt) in enumerate(zip(self.P, self.S))
-        ])
+        ]))
         self.sizes = sizes
         self.m1 = np.count_nonzero(~N, axis=1)
         self._rows = P, N
@@ -273,32 +273,18 @@ def _records(R, V, m1, cost):
 
 
 def _no_comm(block, alpha, eps, cost):
-    r0 = np.where(block.r0 > 0.0, block.r0, np.nan)  # a failed or zero estimate rejects nothing
-    return _local_bh(block, np.minimum(alpha / r0, 1.0), cost)
+    return _local_bh(block, estimate_levels(block.r0, block.sizes, alpha).no_comm, cost)
 
 
 def _pooled_bh(block, alpha, eps, cost):
     P, S, N, r0 = block.pooled()
-    r0 = np.where(r0 > 0.0, r0, 1.0)  # run_pooled_bh's fallback for failed or zero
-    k, v = _bh_rv(P, S, N, np.minimum(alpha / r0, 1.0))
-    return _records(k, v, block.m1, cost)
+    level = estimate_levels(r0[:, None], [P.shape[1]], alpha).pooled_bh[:, 0]
+    return _records(*_bh_rv(P, S, N, level), block.m1, cost)
 
 
 def _prop_match(block, alpha, eps, cost):
-    """run_proportion_matching(adaptive=True), row-wise in the same float steps."""
-    sizes = block.sizes
-    m = int(sizes.sum())
-    failed = np.isnan(block.r0) | (block.r0 == 0.0)  # send m0 = m_i, reject nothing
-    m0 = np.floor(np.where(failed, 1.0, block.r0) * sizes + 0.5).astype(int)
-    m0_total = m0.sum(axis=1)
-    r0_star = np.minimum(m0_total / m, R0_STAR_CLAMP)
-    with np.errstate(divide="ignore", invalid="ignore"):  # r0_star = 0: the full level
-        target = np.minimum(alpha / r0_star, 1.0)
-        beta = np.where(target < 1.0, (1.0 / target - r0_star) / (1.0 - r0_star), 1.0)
-        r0_local = np.minimum(m0 / sizes, R0_STAR_CLAMP)
-    beta = np.maximum(beta, 1.0)[:, None]
-    levels = np.minimum(1.0 / ((1.0 - r0_local) * beta + r0_local), 1.0)
-    levels[failed | (sizes == 0) | (m0_total >= m)[:, None]] = np.nan
+    """run_proportion_matching(adaptive=True) on every row."""
+    levels = estimate_levels(block.r0, block.sizes, alpha, adaptive=True).prop_match
     return _local_bh(block, levels, cost)
 
 
@@ -310,7 +296,7 @@ def _greedy(block, alpha, eps, _cost):
     t, n = block.r0.shape
     m = int(sizes.sum())
     r0 = block.r0
-    has = ~np.isnan(r0) & (r0 != 0.0) & (sizes > 0)
+    has = ~np.isnan(r0) & (sizes > 0)
     L, K = np.zeros((t, n)), np.zeros((t, n), dtype=int)
     grid = build_grid(eps, np.broadcast_to(sizes / m, (t, n))[has], r0[has])
     L[has], K[has] = grid.lengths, grid.counts

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distmodel import LabeledSample
+from .distmodel import LabeledSample, node_columns
 from .estimators import (
     DEFAULT_STOREY_LAMBDA,
-    NullProportionEstimate,
     default_spacing_schedule,
     oracle_estimate,
     spacing_estimate,
@@ -30,15 +29,13 @@ from .greedy import (
     node_cells,
 )
 from .procedures import (
-    R0_STAR_CLAMP,
     ConfusionMetrics,
     RejectionOutcome,
     _empty_outcome,
-    adaptive_bh,
     bh_procedure,
-    beta_slope,
     confusion_metrics,
-    local_alpha,
+    estimate_levels,
+    usable_estimates,
 )
 
 CENTER = -1
@@ -137,17 +134,28 @@ def make_estimator(choice, net=None, storey_lambda: float = DEFAULT_STOREY_LAMBD
     raise ValueError(f"unknown estimator choice {choice!r}")
 
 
-def _estimate_all(sample: LabeledSample, estimator, transcript: Transcript):
-    """Run the estimator at every node; failures degrade to None with a note."""
-    values = []
-    for i, p in enumerate(sample.pvalues):
+def _estimates(pvalues, estimator, transcript: Transcript, name="node {}") -> np.ndarray:
+    """The estimator's value on each p-value array, as the (1, n) row
+    estimate_levels takes, NaN for a failed or zero estimate; the
+    transcript notes each one, under name.format(i)."""
+    r0 = np.full((1, len(pvalues)), np.nan)
+    for i, p in enumerate(pvalues):
         try:
-            est = estimator(p, i)
+            r0[0, i] = estimator(p, i).value
         except ESTIMATOR_FAILURES as exc:  # a failed node must not abort the network
-            transcript.notes.append(f"node {i}: estimator failed: {exc}")
-            est = None
-        values.append(est)
-    return values
+            transcript.notes.append(f"{name.format(i)}: estimator failed: {exc}")
+    usable = usable_estimates(r0)
+    for i in np.flatnonzero(np.isnan(usable[0]) & ~np.isnan(r0[0])):
+        transcript.notes.append(f"{name.format(i)}: an estimate of 0 is treated as failed")
+    return usable
+
+
+def _local_bh(sample: LabeledSample, levels) -> list:
+    """Per-node outcomes of BH at each node's level; a NaN level rejects nothing."""
+    return [
+        _empty_outcome() if np.isnan(level) else bh_procedure(p, float(level))
+        for p, level in zip(sample.pvalues, levels)
+    ]
 
 
 def _finish(outcomes, sample, transcript) -> ProtocolResult:
@@ -162,15 +170,9 @@ def run_no_comm(sample: LabeledSample, alpha: float, estimator="spacing") -> Pro
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript()
-    estimator = make_estimator(estimator)
-    estimates = _estimate_all(sample, estimator, transcript)
-    outcomes = []
-    for p, est in zip(sample.pvalues, estimates):
-        if est is None or est.value == 0.0:
-            outcomes.append(_empty_outcome())
-        else:
-            outcomes.append(adaptive_bh(p, alpha, est))
-    return _finish(outcomes, sample, transcript)
+    r0 = _estimates(sample.pvalues, make_estimator(estimator), transcript)
+    levels = estimate_levels(r0, sample.m_per_node, alpha).no_comm[0]
+    return _finish(_local_bh(sample, levels), sample, transcript)
 
 
 def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> ProtocolResult:
@@ -183,32 +185,17 @@ def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> P
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript(rounds=1)
-    pooled, ids, _ = sample.pooled()
+    pooled = sample.pooled()[0]
     for i, mi in enumerate(sample.m_per_node):
         transcript.add(1, UP, i, CENTER, ("pvalues", int(mi)), PVALUE_BITS * int(mi))
-    try:
-        est = make_estimator(estimator)(pooled, 0)
-        if est.value == 0.0:
-            raise ValueError("an estimate of 0 leaves adaptive BH no level")
-    except ESTIMATOR_FAILURES as exc:
-        transcript.notes.append(f"pooled estimator failed: {exc}")
-        est = NullProportionEstimate(1.0, "fallback", {})
-    outcome = adaptive_bh(pooled, alpha, est)
-    outcomes = _split_pooled_outcome(outcome, ids, sample)
+    r0 = _estimates([pooled], make_estimator(estimator), transcript, "pool")
+    level = estimate_levels(r0, [sample.m], alpha).pooled_bh[0, 0]
+    outcome = bh_procedure(pooled, float(level))
+    rejected = np.zeros(sample.m, dtype=bool)
+    rejected[outcome.rejected] = True
+    idx = [np.flatnonzero(rejected[c]) for c in node_columns(sample.m_per_node)]
+    outcomes = [RejectionOutcome(i, int(i.size), outcome.tau) for i in idx]
     return _finish(outcomes, sample, transcript)
-
-
-def _split_pooled_outcome(outcome: RejectionOutcome, ids, sample: LabeledSample):
-    outcomes = []
-    rejected_mask = np.zeros(len(ids), dtype=bool)
-    rejected_mask[outcome.rejected] = True
-    start = 0
-    for mi in sample.m_per_node:
-        node_mask = rejected_mask[start : start + mi]
-        idx = np.flatnonzero(node_mask)
-        outcomes.append(RejectionOutcome(idx, int(idx.size), outcome.tau))
-        start += mi
-    return outcomes
 
 
 def run_pooled_bh_oracle(sample, alpha, net):
@@ -234,50 +221,15 @@ def run_proportion_matching(
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript(rounds=1)
-    estimator = make_estimator(estimator)
-    estimates = _estimate_all(sample, estimator, transcript)
-    for i, est in enumerate(estimates):
-        if est is not None and est.value == 0.0:
-            transcript.notes.append(f"node {i}: an estimate of 0 is treated as failed")
-            estimates[i] = None
-    m = sample.m
-    m_per_node = sample.m_per_node
-
-    m0_hats = []
-    for i, (mi, est) in enumerate(zip(m_per_node, estimates)):
-        r0_hat = 1.0 if est is None else est.value
-        m0 = int(math.floor(r0_hat * mi + 0.5))
-        m0_hats.append(m0)
-        transcript.add(1, UP, i, CENTER, (int(mi), m0), 2 * _bits_for_count(int(mi)))
-    m0_total = sum(m0_hats)
-    transcript.add(1, BCAST, CENTER, CENTER, (m, m0_total), 2 * _bits_for_count(m))
-
-    if m0_total >= m:
-        transcript.termination = TERM_NO_REJECTIONS
+    r0 = _estimates(sample.pvalues, make_estimator(estimator), transcript)
+    levels = estimate_levels(r0, sample.m_per_node, alpha, adaptive)
+    m0 = levels.m0[0].tolist()
+    for i, mi in enumerate(sample.m_per_node):
+        transcript.add(1, UP, i, CENTER, (int(mi), m0[i]), 2 * _bits_for_count(int(mi)))
+    transcript.add(1, BCAST, CENTER, CENTER, (sample.m, sum(m0)), 2 * _bits_for_count(sample.m))
+    if np.isnan(levels.prop_match).all():  # the counts sum to m: no signal anywhere
         transcript.notes.append("all nodes estimate every hypothesis null")
-        outcomes = [_empty_outcome() for _ in sample.pvalues]
-        glob, per_node = confusion_metrics(outcomes, sample)
-        return ProtocolResult(outcomes, glob, per_node, transcript)
-
-    r0_star_hat = min(m0_total / m, R0_STAR_CLAMP)
-    if not adaptive:
-        target = alpha
-    else:  # every node sending 0 nulls gives r0_star_hat = 0 and the full level
-        target = min(alpha / r0_star_hat, 1.0) if r0_star_hat > 0.0 else 1.0
-    beta_star = beta_slope(target, r0_star_hat) if target < 1.0 else 1.0
-    beta_star = max(beta_star, 1.0)
-
-    outcomes = []
-    for p, mi, m0, est in zip(sample.pvalues, m_per_node, m0_hats, estimates):
-        if est is None or int(mi) == 0:
-            outcomes.append(_empty_outcome())
-            continue
-        # the node calibrates with the quantized proportion it sent, so the
-        # N=1 fixed point (level == target) holds exactly on the wire values
-        r0_local = min(m0 / int(mi), R0_STAR_CLAMP)
-        level = min(local_alpha(beta_star, r0_local), 1.0)
-        outcomes.append(bh_procedure(p, level))
-    return _finish(outcomes, sample, transcript)
+    return _finish(_local_bh(sample, levels.prop_match[0]), sample, transcript)
 
 
 def _greedy_cells(sample: LabeledSample, epsilon: float, estimator, transcript: Transcript):
@@ -287,14 +239,14 @@ def _greedy_cells(sample: LabeledSample, epsilon: float, estimator, transcript: 
     failures are noted in the transcript.  A node with no cells (empty,
     failed or zero estimate, or cells longer than 1) comes back as None.
     """
-    estimates = _estimate_all(sample, make_estimator(estimator), transcript)
+    r0 = _estimates(sample.pvalues, make_estimator(estimator), transcript)[0]
     m = sample.m
     cells = []
-    for p, est in zip(sample.pvalues, estimates):
-        if len(p) == 0 or est is None or est.value == 0.0:
+    for p, r in zip(sample.pvalues, r0):
+        if len(p) == 0 or np.isnan(r):
             cells.append(None)
             continue
-        grid = build_grid(epsilon, [len(p) / m], [est.value])
+        grid = build_grid(epsilon, [len(p) / m], [r])
         K = int(grid.counts[0])
         cells.append(node_cells(p, float(grid.lengths[0]), K) if K else None)
     return cells

@@ -1,5 +1,6 @@
-"""BH-family rejection procedures, proportion-matching calibration math,
-asymptotic threshold solving, and confusion metrics."""
+"""BH-family rejection procedures, the levels each method runs BH at from
+null-proportion estimates, asymptotic threshold solving, and confusion
+metrics."""
 
 from __future__ import annotations
 
@@ -83,22 +84,74 @@ def local_alpha(beta_star: float, r0_local: float) -> float:
     return 1.0 / ((1.0 - r0_local) * beta_star + r0_local)
 
 
+def usable_estimates(estimates) -> np.ndarray:
+    """Estimates with NaN in place of a failed (NaN) or zero one: the one
+    fallback rule, read by estimate_levels and by greedy's cells."""
+    r0 = np.asarray(estimates, dtype=float)
+    return np.where(r0 > 0.0, r0, np.nan)
+
+
+@dataclass(frozen=True)
+class Levels:
+    """BH levels per trial (row) and node (column); NaN rejects nothing."""
+
+    r0: np.ndarray  # usable_estimates of the input
+    no_comm: np.ndarray  # min(alpha / r0, 1)
+    pooled_bh: np.ndarray  # the same with r0 = 1 where r0 is NaN
+    m0: np.ndarray  # prop-match wire counts floor(r0*m_i + 1/2), m_i where r0 is NaN
+    r0_star: np.ndarray  # (t,) pooled proportion sum(m0) / m, clamped below 1
+    beta: np.ndarray  # (t,) shared slope
+    prop_match: np.ndarray  # matched local levels
+
+
+def estimate_levels(estimates, sizes, alpha: float, adaptive: bool = False) -> Levels:
+    """The level each method runs BH at, from (t, n) estimates and sizes m_i.
+
+    A node whose estimate failed or is 0 rejects nothing under no
+    communication and proportion matching.  Proportion matching works on
+    the wire counts m0 alone, as every node sees them, so one node's level
+    is its target: the slope beta_slope(target, sum(m0) / m), with target
+    alpha, or min(alpha / r0_star, 1) when adaptive, and the level
+    local_alpha(beta, m0_i / m_i).  An empty node gets a NaN level, and so
+    does every node of a row whose counts sum to m or more.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+    r0 = usable_estimates(estimates)
+    sizes = np.asarray(sizes, dtype=int)
+    failed = np.isnan(r0)
+    m0 = np.floor(np.where(failed, 1.0, r0) * sizes + 0.5).astype(int)
+    m0_total = m0.sum(axis=1)
+    m = int(sizes.sum())
+    # alpha over a tiny r0 or r0_star = 0 gives the full level; m_i = 0 gives NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        no_comm = np.minimum(alpha / r0, 1.0)
+        pooled = np.minimum(alpha / np.where(failed, 1.0, r0), 1.0)
+        r0_star = np.minimum(m0_total / m, R0_STAR_CLAMP)
+        target = np.minimum(alpha / r0_star, 1.0) if adaptive else np.full(len(r0), alpha)
+        beta = np.where(target < 1.0, (1.0 / target - r0_star) / (1.0 - r0_star), 1.0)
+        r0_local = np.minimum(m0 / sizes, R0_STAR_CLAMP)
+    beta = np.maximum(beta, 1.0)
+    matched = np.minimum(1.0 / ((1.0 - r0_local) * beta[:, None] + r0_local), 1.0)
+    matched[failed | (sizes == 0) | (m0_total >= m)[:, None]] = np.nan
+    return Levels(r0, no_comm, pooled, m0, r0_star, beta, matched)
+
+
 @dataclass(frozen=True)
 class Calibration:
     r0_star_hat: float
     beta_star_hat: float
     alpha_locals: np.ndarray
-    m0_hats: np.ndarray | None = None  # integer-message variant payloads
+    m0_hats: np.ndarray  # the rounded null counts the nodes send
 
 
-def calibrate_proportion_matching(
-    counts, estimates, alpha: float, integer_messages: bool = False
-) -> Calibration:
-    """Pooled null-proportion, global slope, and per-node adapted sizes.
+def calibrate_proportion_matching(counts, estimates, alpha: float) -> Calibration:
+    """Pooled null proportion, global slope and per-node local levels.
 
-    With integer_messages, nodes contribute rounded null counts
-    m0_hat = floor(r0_hat*m + 1/2) and the pooled proportion is built from
-    their sum, mirroring the integer wire format.
+    These are the values run_proportion_matching (not adaptive) computes
+    from the same estimates, by estimate_levels: nodes send rounded null
+    counts m0_hat = floor(r0_hat*m + 1/2), and everything else follows from
+    those.  A zero estimate counts as failed and gets a NaN level.
     """
     counts = np.asarray(counts, dtype=int)
     r0s = np.array(
@@ -112,17 +165,8 @@ def calibrate_proportion_matching(
         raise ValueError("estimates must lie in [0, 1]")
     if np.all(r0s >= 1.0):
         raise ValueError("no signal anywhere: every node estimates all nulls")
-    m = int(counts.sum())
-    m0_hats = None
-    if integer_messages:
-        m0_hats = np.floor(r0s * counts + 0.5).astype(int)
-        r0_star = m0_hats.sum() / m
-    else:
-        r0_star = float(np.dot(r0s, counts)) / m
-    r0_star = min(r0_star, R0_STAR_CLAMP)
-    beta_star = beta_slope(alpha, r0_star)
-    alphas = np.array([local_alpha(beta_star, min(r, R0_STAR_CLAMP)) for r in r0s])
-    return Calibration(r0_star, beta_star, alphas, m0_hats)
+    lv = estimate_levels(r0s[None], counts, alpha)
+    return Calibration(float(lv.r0_star[0]), float(lv.beta[0]), lv.prop_match[0], lv.m0[0])
 
 
 # log-spaced down to the smallest normal float so that thresholds far below

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from starfdr.cli import cli
+from starfdr.experiments import CSV_HEADER
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_experiment_writes_csv(tmp_path, capsys):
@@ -86,3 +94,15 @@ def test_unknown_method_runtime_error(tmp_path, capsys):
     assert cli(["experiment", "2c", "--trials", "1", "--methods", "greedy,bh",
                 "--out", str(out)]) == 2
     assert "unknown methods" in capsys.readouterr().err and not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "exp.csv"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "starfdr", "experiment", "2b", "--trials", "2",
+         "--methods", "no_comm", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith(",".join(CSV_HEADER) + "\n")

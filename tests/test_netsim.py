@@ -134,9 +134,7 @@ class TestProportionMatching:
         s = _trial(seed=8)
         est = sf.make_estimator("storey")
         ests = [est(p, i) for i, p in enumerate(s.pvalues)]
-        cal = sf.calibrate_proportion_matching(
-            s.m_per_node, ests, 0.2, integer_messages=True
-        )
+        cal = sf.calibrate_proportion_matching(s.m_per_node, ests, 0.2)
         res = sf.run_proportion_matching(s, 0.2, "storey")
         for i, out in enumerate(res.outcomes):
             r0q = min(cal.m0_hats[i] / s.m_per_node[i], 1 - 1e-6)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starfdr as sf
+from starfdr import procedures
 
 
 def bh_brute_force(pvalues, alpha):
@@ -108,16 +111,34 @@ class TestCalibrationMath:
         assert np.allclose(cal.alpha_locals, 0.1, atol=1e-12)
 
     def test_integer_message_variant(self):
-        cal = sf.calibrate_proportion_matching(
-            [100, 100], [0.5, 0.9], 0.2, integer_messages=True
-        )
+        cal = sf.calibrate_proportion_matching([100, 100], [0.5, 0.9], 0.2)
         assert cal.m0_hats.tolist() == [50, 90]
         assert cal.r0_star_hat == pytest.approx(0.7)
 
     def test_integer_rounding(self):
-        cal = sf.calibrate_proportion_matching([3], [0.5], 0.2, integer_messages=True)
+        cal = sf.calibrate_proportion_matching([3], [0.5], 0.2)
         # floor(1.5 + 0.5) = 2
         assert cal.m0_hats.tolist() == [2]
+
+    def test_levels_come_from_the_wire_counts(self):
+        # demo 02's sample, where no r0_hat * m_i is a whole number; the levels
+        # once came from the raw estimates (node 0: 0.1792, the protocol 0.1794)
+        net = sf.NetworkModel([
+            sf.NodeModel(q, r0, sf.gaussian_alt(mu)) for q, r0, mu in
+            zip((5 / 15, 4 / 15, 3 / 15, 2 / 15, 1 / 15), (0.5, 0.6, 0.7, 0.8, 0.9),
+                (1.25, 2.5, 3.75, 5.0, 6.25))
+        ])
+        sizes = (1000, 800, 600, 400, 200)
+        s = sf.sample_trial(net, sizes, mean_jitter=0.5, seed=7)
+        ests = [sf.make_estimator("spacing")(p, i) for i, p in enumerate(s.pvalues)]
+        assert all(e.value * m_i != round(e.value * m_i) for e, m_i in zip(ests, sizes))
+        cal = sf.calibrate_proportion_matching(sizes, ests, 0.2)
+        res = sf.run_proportion_matching(s, 0.2)
+        for i, m_i in enumerate(sizes):
+            r0q = min(cal.m0_hats[i] / m_i, procedures.R0_STAR_CLAMP)
+            assert cal.alpha_locals[i] == min(sf.local_alpha(cal.beta_star_hat, r0q), 1.0)
+            direct = sf.bh_procedure(s.pvalues[i], cal.alpha_locals[i])
+            assert np.array_equal(res.outcomes[i].rejected, direct.rejected)
 
     def test_all_ones_error(self):
         with pytest.raises(ValueError):
@@ -128,6 +149,78 @@ class TestCalibrationMath:
     def test_fixed_point(self, r0, alpha):
         beta = sf.beta_slope(alpha, r0)
         assert sf.local_alpha(beta, r0) == pytest.approx(alpha, abs=1e-12)
+
+
+def _scalar_levels(r0s, sizes, alpha, adaptive):
+    """The per-node formulas of run_no_comm, run_pooled_bh and
+    run_proportion_matching before they shared estimate_levels:
+    (no_comm, pooled_bh, m0, prop_match) for one trial."""
+    failed = [math.isnan(r) or r == 0.0 for r in r0s]
+    no_comm = [math.nan if f else min(alpha / r, 1.0) for f, r in zip(failed, r0s)]
+    pooled = [min(alpha / (1.0 if f else r), 1.0) for f, r in zip(failed, r0s)]
+    m0 = [int(math.floor((1.0 if f else r) * mi + 0.5)) for f, r, mi in zip(failed, r0s, sizes)]
+    m = sum(sizes)
+    if sum(m0) >= m:
+        return no_comm, pooled, m0, [math.nan] * len(r0s)
+    r0_star = min(sum(m0) / m, procedures.R0_STAR_CLAMP)
+    if not adaptive:
+        target = alpha
+    else:
+        target = min(alpha / r0_star, 1.0) if r0_star > 0.0 else 1.0
+    beta = max(sf.beta_slope(target, r0_star) if target < 1.0 else 1.0, 1.0)
+    matched = [
+        math.nan if f or mi == 0
+        else min(sf.local_alpha(beta, min(c / mi, procedures.R0_STAR_CLAMP)), 1.0)
+        for f, c, mi in zip(failed, m0, sizes)
+    ]
+    return no_comm, pooled, m0, matched
+
+
+_ESTIMATE = st.one_of(
+    st.sampled_from([math.nan, 0.0, 1.0]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@st.composite
+def _level_inputs(draw):
+    """(t, n) estimates mixing NaN, 0, 1 and (0, 1), and sizes m_i >= 0."""
+    t, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n).filter(any))
+    r0 = draw(st.lists(st.lists(_ESTIMATE, min_size=n, max_size=n), min_size=t, max_size=t))
+    return np.array(r0, dtype=float), np.array(sizes)
+
+
+class TestEstimateLevels:
+    FIELDS = ("r0", "no_comm", "pooled_bh", "m0", "r0_star", "beta", "prop_match")
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_level_inputs(), alpha=st.floats(0.01, 1.0))
+    @example(inputs=(np.array([[np.nan, 0.0, np.nan], [0.0, 0.0, 0.0]]), np.array([5, 0, 7])),
+             alpha=0.2)
+    @example(inputs=(np.array([[1.0, 1.0], [0.999, 1.0]]), np.array([40, 60])), alpha=0.2)
+    @example(inputs=(np.array([[0.3, 0.5, 0.25]]), np.array([10, 0, 4])), alpha=1.0)
+    def test_rows_match_scalar_protocol_formulas(self, inputs, alpha):
+        r0, sizes = inputs
+        for adaptive in (False, True):
+            full = sf.estimate_levels(r0, sizes, alpha, adaptive)
+            for r, row in enumerate(r0):
+                one = sf.estimate_levels(row[None], sizes, alpha, adaptive)
+                for name in self.FIELDS:
+                    np.testing.assert_array_equal(getattr(full, name)[r], getattr(one, name)[0])
+                want = _scalar_levels(row.tolist(), sizes.tolist(), alpha, adaptive)
+                got = (full.no_comm[r], full.pooled_bh[r], full.m0[r], full.prop_match[r])
+                for w, g in zip(want, got):
+                    np.testing.assert_array_equal(g, np.array(w, dtype=g.dtype))
+                failed = np.isnan(row) | (row == 0.0)
+                if failed.all() or (full.m0[r] == sizes).all():
+                    assert np.isnan(full.prop_match[r]).all()
+                if failed.all():
+                    assert np.isnan(full.no_comm[r]).all()
+
+    def test_invalid_alpha(self):
+        with pytest.raises(ValueError):
+            sf.estimate_levels([[0.5]], [10], 0.0)
 
 
 class TestAsymptoticThreshold:
