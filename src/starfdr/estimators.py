@@ -17,6 +17,9 @@ DEFAULT_STOREY_LAMBDA = 0.5
 class DegenerateSpacingError(ValueError):
     """All relevant order-statistic spacings collapsed to zero (tied sample)."""
 
+    def __init__(self, message="all spacings are zero; sample is fully tied"):
+        super().__init__(message)
+
 
 @dataclass(frozen=True)
 class NullProportionEstimate:
@@ -46,7 +49,8 @@ def spacing_values(sorted_rows, s: int) -> np.ndarray:
     ascending p-values, with Z a row's widest 2s-wide order spacing.
 
     Z = max over admissible j of P_(j+s) - P_(j-s); requires m >= 2s + 1.
-    A row whose spacings are all zero (a fully tied sample) gives NaN.
+    A row whose spacings are all zero (a fully tied sample) gives NaN, and a
+    subnormal Z the value 1.
     """
     rows = np.asarray(sorted_rows, dtype=float)
     m = rows.shape[1]
@@ -56,14 +60,15 @@ def spacing_values(sorted_rows, s: int) -> np.ndarray:
     if m < 2 * s + 1:
         raise ValueError(f"need at least {2 * s + 1} p-values for s={s} (got {m})")
     z = np.max(rows[:, 2 * s:] - rows[:, : m - 2 * s], axis=1)
-    return np.minimum(2.0 * s / (m * np.where(z == 0.0, np.nan, z)), 1.0)
+    with np.errstate(over="ignore"):  # 2s / (m Z) is inf for a subnormal Z
+        return np.minimum(2.0 * s / (m * np.where(z == 0.0, np.nan, z)), 1.0)
 
 
 def spacing_estimate(pvalues, s: int) -> NullProportionEstimate:
     """The max-spacing estimate of one sample; see spacing_values."""
     value = float(spacing_values(np.sort(np.asarray(pvalues, dtype=float))[None], s)[0])
     if np.isnan(value):
-        raise DegenerateSpacingError("all spacings are zero; sample is fully tied")
+        raise DegenerateSpacingError()
     return NullProportionEstimate(value, SPACING, {"s": int(s)})
 
 

@@ -28,19 +28,19 @@ from .distmodel import (
     sample_rows,
     sample_trial,
 )
-from .estimators import default_spacing_schedule, oracle_estimate, spacing_values
+from .estimators import oracle_estimate
 from .greedy import build_grid, default_epsilon, greedy_rows, row_cells
 from .netsim import (
-    ESTIMATOR_FAILURES,
     greedy_cost,
     make_estimator,
+    row_estimates,
     run_greedy_aggregation,
     run_no_comm,
     run_pooled_bh,
     run_proportion_matching,
 )
 from .oracleopt import optimal_region
-from .procedures import bh_step_up, estimate_levels, usable_estimates
+from .procedures import bh_threshold, estimate_levels, usable_estimates
 
 CSV_HEADER = [
     "sweep", "method", "fdr", "fdr_se", "power", "power_se",
@@ -200,22 +200,6 @@ def _point_estimators(choice, net):
     return est, est
 
 
-def _row_estimates(choice, est, rows, sorted_rows, i):
-    """One null-proportion estimate per row (trial); NaN where it fails."""
-    if choice == "spacing":  # the row-wise core, on the rows sorted once
-        try:
-            return spacing_values(sorted_rows, default_spacing_schedule(rows.shape[1]))
-        except ValueError:
-            return np.full(len(rows), np.nan)
-    out = np.full(len(rows), np.nan)
-    for r, p in enumerate(rows):
-        try:
-            out[r] = est(p, i).value
-        except ESTIMATOR_FAILURES:
-            pass
-    return out
-
-
 class _TrialBlock:
     """Consecutive trials of one sweep point: sample_rows' (t, m) rows, and
     per node (t, m_i) views of the p-values and null labels, the sorted
@@ -228,7 +212,7 @@ class _TrialBlock:
         self.N = [N[:, c] for c in cols]
         self.S = [np.sort(p, axis=1) for p in self.P]
         self.r0 = usable_estimates(np.column_stack([
-            _row_estimates(choice, node_est, p, srt, i)
+            row_estimates(choice, node_est, p, srt, i)[0]
             for i, (p, srt) in enumerate(zip(self.P, self.S))
         ]))
         self.sizes = sizes
@@ -240,16 +224,12 @@ class _TrialBlock:
         """The pooled rows: (p-values, sorted, null labels, estimates)."""
         P, N = self._rows
         srt = np.sort(P, axis=1)
-        return P, srt, N, _row_estimates(self._choice, self._pooled_est, P, srt, 0)
+        return P, srt, N, row_estimates(self._choice, self._pooled_est, P, srt, 0)[0]
 
 
 def _bh_rv(P, S, N, levels):
     """R and V per row of BH at per-row levels; a NaN level rejects nothing."""
-    m = P.shape[1]
-    k = bh_step_up(S, levels)
-    if m == 0:
-        return k, k
-    tau = np.where(k > 0, levels * k / m, -np.inf)  # the threshold bh_procedure rejects at
+    k, tau = bh_threshold(S, levels)
     return k, np.count_nonzero(N & (P <= tau[:, None]), axis=1)
 
 

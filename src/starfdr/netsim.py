@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distmodel import LabeledSample, node_columns
+from .distmodel import LabeledSample
 from .estimators import (
     DEFAULT_STOREY_LAMBDA,
+    DegenerateSpacingError,
     default_spacing_schedule,
     oracle_estimate,
     spacing_estimate,
+    spacing_values,
     storey_estimate,
 )
 from .greedy import (
@@ -33,8 +35,10 @@ from .procedures import (
     RejectionOutcome,
     _empty_outcome,
     bh_procedure,
+    bh_threshold,
     confusion_metrics,
     estimate_levels,
+    sorted_bh,
     usable_estimates,
 )
 
@@ -134,27 +138,63 @@ def make_estimator(choice, net=None, storey_lambda: float = DEFAULT_STOREY_LAMBD
     raise ValueError(f"unknown estimator choice {choice!r}")
 
 
-def _estimates(pvalues, estimator, transcript: Transcript, name="node {}") -> np.ndarray:
-    """The estimator's value on each p-value array, as the (1, n) row
-    estimate_levels takes, NaN for a failed or zero estimate; the
-    transcript notes each one, under name.format(i)."""
+def row_estimates(choice, est, rows, sorted_rows, i):
+    """Node i's null-proportion estimate on each row (trial) of its (t, m_i)
+    p-values, NaN where the estimator failed, and what it raised there:
+    (values, {row: exception}).  est is make_estimator's callable for
+    choice.  "spacing" reads sorted_rows, the rows sorted ascending, through
+    spacing_values; any other estimator gets each row of rows as it is, and
+    sorted_rows may be None."""
+    if choice == "spacing":
+        try:
+            values = spacing_values(sorted_rows, default_spacing_schedule(rows.shape[1]))
+        except ValueError as exc:  # too few p-values for the schedule
+            return np.full(len(rows), np.nan), dict.fromkeys(range(len(rows)), exc)
+        tied = np.flatnonzero(np.isnan(values)).tolist()
+        return values, {r: DegenerateSpacingError() for r in tied}
+    values, failures = np.full(len(rows), np.nan), {}
+    for r, p in enumerate(rows):
+        try:
+            values[r] = est(p, i).value
+        except ESTIMATOR_FAILURES as exc:  # a failed node must not abort the network
+            failures[r] = exc
+    return values, failures
+
+
+def _estimates(pvalues, estimator, transcript: Transcript, name="node {}"):
+    """row_estimates of each node's p-values, as the (1, n) row
+    estimate_levels takes, NaN for a failed or zero estimate, and the
+    ascending copies the estimator read: each array sorted once here for the
+    spacing estimator, None for any other.  The transcript notes each failed
+    or zero estimate, under name.format(i)."""
+    est = make_estimator(estimator)
+    sorted_pvalues = [np.sort(p) for p in pvalues] if estimator == "spacing" else None
     r0 = np.full((1, len(pvalues)), np.nan)
     for i, p in enumerate(pvalues):
-        try:
-            r0[0, i] = estimator(p, i).value
-        except ESTIMATOR_FAILURES as exc:  # a failed node must not abort the network
+        srt = None if sorted_pvalues is None else sorted_pvalues[i][None]
+        r0[:, i], failures = row_estimates(estimator, est, p[None], srt, i)
+        for exc in failures.values():
             transcript.notes.append(f"{name.format(i)}: estimator failed: {exc}")
     usable = usable_estimates(r0)
     for i in np.flatnonzero(np.isnan(usable[0]) & ~np.isnan(r0[0])):
         transcript.notes.append(f"{name.format(i)}: an estimate of 0 is treated as failed")
-    return usable
+    return usable, sorted_pvalues
 
 
-def _local_bh(sample: LabeledSample, levels) -> list:
-    """Per-node outcomes of BH at each node's level; a NaN level rejects nothing."""
+def _node_pvalues(sample: LabeledSample) -> list:
+    """Each node's p-values as a float array."""
+    return [np.asarray(p, dtype=float) for p in sample.pvalues]
+
+
+def _local_bh(pvalues, sorted_pvalues, levels) -> list:
+    """Per-node outcomes of BH at each node's level; a NaN level rejects
+    nothing.  BH reads the sorted copies the estimate read, or sorts each
+    node itself when the estimate read none (sorted_pvalues is None)."""
+    if sorted_pvalues is not None:
+        return [sorted_bh(*node) for node in zip(pvalues, sorted_pvalues, levels)]
     return [
         _empty_outcome() if np.isnan(level) else bh_procedure(p, float(level))
-        for p, level in zip(sample.pvalues, levels)
+        for p, level in zip(pvalues, levels)
     ]
 
 
@@ -170,9 +210,10 @@ def run_no_comm(sample: LabeledSample, alpha: float, estimator="spacing") -> Pro
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript()
-    r0 = _estimates(sample.pvalues, make_estimator(estimator), transcript)
+    pvalues = _node_pvalues(sample)
+    r0, srt = _estimates(pvalues, estimator, transcript)
     levels = estimate_levels(r0, sample.m_per_node, alpha).no_comm[0]
-    return _finish(_local_bh(sample, levels), sample, transcript)
+    return _finish(_local_bh(pvalues, srt, levels), sample, transcript)
 
 
 def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> ProtocolResult:
@@ -185,17 +226,17 @@ def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> P
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript(rounds=1)
-    pooled = sample.pooled()[0]
+    pvalues = _node_pvalues(sample)
+    pooled = np.concatenate(pvalues)
     for i, mi in enumerate(sample.m_per_node):
         transcript.add(1, UP, i, CENTER, ("pvalues", int(mi)), PVALUE_BITS * int(mi))
-    r0 = _estimates([pooled], make_estimator(estimator), transcript, "pool")
-    level = estimate_levels(r0, [sample.m], alpha).pooled_bh[0, 0]
-    outcome = bh_procedure(pooled, float(level))
-    rejected = np.zeros(sample.m, dtype=bool)
-    rejected[outcome.rejected] = True
-    idx = [np.flatnonzero(rejected[c]) for c in node_columns(sample.m_per_node)]
-    outcomes = [RejectionOutcome(i, int(i.size), outcome.tau) for i in idx]
-    return _finish(outcomes, sample, transcript)
+    r0, srt = _estimates([pooled], estimator, transcript, "pool")
+    srt = np.sort(pooled) if srt is None else srt[0]
+    level = estimate_levels(r0, [sample.m], alpha).pooled_bh[0]
+    k, tau = bh_threshold(srt[None], level)
+    idx = [np.flatnonzero(p <= tau[0]) for p in pvalues]  # none where tau = -inf
+    tau = float(tau[0]) if k[0] else 0.0
+    return _finish([RejectionOutcome(i, int(i.size), tau) for i in idx], sample, transcript)
 
 
 def run_pooled_bh_oracle(sample, alpha, net):
@@ -221,7 +262,8 @@ def run_proportion_matching(
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript(rounds=1)
-    r0 = _estimates(sample.pvalues, make_estimator(estimator), transcript)
+    pvalues = _node_pvalues(sample)
+    r0, srt = _estimates(pvalues, estimator, transcript)
     levels = estimate_levels(r0, sample.m_per_node, alpha, adaptive)
     m0 = levels.m0[0].tolist()
     for i, mi in enumerate(sample.m_per_node):
@@ -229,7 +271,7 @@ def run_proportion_matching(
     transcript.add(1, BCAST, CENTER, CENTER, (sample.m, sum(m0)), 2 * _bits_for_count(sample.m))
     if np.isnan(levels.prop_match).all():  # the counts sum to m: no signal anywhere
         transcript.notes.append("all nodes estimate every hypothesis null")
-    return _finish(_local_bh(sample, levels.prop_match[0]), sample, transcript)
+    return _finish(_local_bh(pvalues, srt, levels.prop_match[0]), sample, transcript)
 
 
 def _greedy_cells(sample: LabeledSample, epsilon: float, estimator, transcript: Transcript):
@@ -239,10 +281,11 @@ def _greedy_cells(sample: LabeledSample, epsilon: float, estimator, transcript: 
     failures are noted in the transcript.  A node with no cells (empty,
     failed or zero estimate, or cells longer than 1) comes back as None.
     """
-    r0 = _estimates(sample.pvalues, make_estimator(estimator), transcript)[0]
+    pvalues = _node_pvalues(sample)
+    r0 = _estimates(pvalues, estimator, transcript)[0][0]
     m = sample.m
     cells = []
-    for p, r in zip(sample.pvalues, r0):
+    for p, r in zip(pvalues, r0):
         if len(p) == 0 or np.isnan(r):
             cells.append(None)
             continue

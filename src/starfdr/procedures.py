@@ -32,13 +32,40 @@ def bh_step_up(sorted_rows, levels) -> np.ndarray:
 
     Per row, the largest k with P_(k) <= level*k/m, or 0 when there is none
     (always 0 for a NaN level).  sorted_rows is (t, m) and levels (t,).
+
+    Only a prefix of the rows is compared: level*k/m is nondecreasing in k,
+    and so are the column minima of ascending rows, so no k beyond the count
+    c of column minima at or below the largest level*m/m can pass.
     """
     rows = np.asarray(sorted_rows, dtype=float)
+    levels = np.asarray(levels, dtype=float)
     t, m = rows.shape
     if m == 0:
         return np.zeros(t, dtype=int)
-    ok = rows <= np.asarray(levels, dtype=float)[:, None] * np.arange(1, m + 1) / m
-    return np.where(ok.any(axis=1), m - np.argmax(ok[:, ::-1], axis=1), 0)
+    top = np.fmax.reduce(levels * m / m, initial=-np.inf)  # fmax skips NaN levels
+    c = int(np.searchsorted(np.fmin.reduce(rows, axis=0, initial=np.inf), top, "right"))
+    if c == 0:
+        return np.zeros(t, dtype=int)
+    ok = rows[:, :c] <= levels[:, None] * np.arange(1, c + 1) / m
+    return np.where(ok.any(axis=1), c - np.argmax(ok[:, ::-1], axis=1), 0)
+
+
+def bh_threshold(sorted_rows, levels):
+    """Per row, BH's step-up count k and the threshold tau = level*k/m it
+    rejects at (every p <= tau), or -inf where k = 0."""
+    k = bh_step_up(sorted_rows, levels)
+    m = max(np.shape(sorted_rows)[1], 1)
+    return k, np.where(k > 0, np.asarray(levels, dtype=float) * k / m, -np.inf)
+
+
+def sorted_bh(pvalues: np.ndarray, sorted_pvalues: np.ndarray, level: float) -> RejectionOutcome:
+    """BH at level on the p-value array pvalues, given its ascending copy;
+    a NaN level rejects nothing.  The one-row bh_threshold."""
+    k = int(bh_step_up(sorted_pvalues[None], [level])[0])
+    if k == 0:
+        return _empty_outcome()
+    tau = level * k / sorted_pvalues.size
+    return RejectionOutcome(np.flatnonzero(pvalues <= tau), k, float(tau))
 
 
 def bh_procedure(pvalues, alpha: float) -> RejectionOutcome:
@@ -50,13 +77,7 @@ def bh_procedure(pvalues, alpha: float) -> RejectionOutcome:
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     p = np.asarray(pvalues, dtype=float)
-    m = p.size
-    k_hat = int(bh_step_up(np.sort(p)[None], [alpha])[0])
-    if k_hat == 0:
-        return _empty_outcome()
-    tau = alpha * k_hat / m
-    rejected = np.flatnonzero(p <= tau)
-    return RejectionOutcome(rejected, k_hat, tau)
+    return sorted_bh(p, np.sort(p), alpha)
 
 
 def adaptive_bh(pvalues, alpha: float, estimate: NullProportionEstimate) -> RejectionOutcome:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,12 @@ class TestSpacing:
     def test_degenerate_ties(self):
         with pytest.raises(DegenerateSpacingError):
             sf.spacing_estimate([0.3, 0.3, 0.3, 0.3, 0.3], 1)
+
+    def test_subnormal_spacing_is_one_without_warning(self):
+        # 2s / (m Z) overflows for the subnormal Z = 1e-323
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sf.spacing_estimate([0.0, 5e-324, 1e-323], 1).value == 1.0
 
     def test_invalid_s(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import starfdr as sf
-from starfdr import netsim
+from starfdr import netsim, procedures
 
 NET2 = sf.NetworkModel([
     sf.NodeModel(0.5, 0.7, sf.gaussian_alt(2.0)),
@@ -292,3 +292,165 @@ def test_make_estimator_variants():
         sf.make_estimator("oracle")
     with pytest.raises(ValueError):
         sf.make_estimator("magic")
+
+
+_NET5 = sf.NetworkModel(
+    [sf.NodeModel(0.2, r0, sf.gaussian_alt(2.5)) for r0 in (0.6, 0.7, 0.8, 0.9, 0.5)]
+)
+
+
+def _edge_sample():
+    """Five nodes: three drawn, one fully tied and one with m = 2, both of
+    which the spacing estimator cannot estimate."""
+    drawn = sf.sample_trial(_NET5, (400, 300, 200, 0, 0), seed=21)
+    p = [*drawn.pvalues[:3], np.full(25, 0.4), np.array([0.3, 0.001])]
+    return sf.LabeledSample(p, [np.arange(x.size) % 3 > 0 for x in p])
+
+
+def _all_zero_storey_sample():
+    """Every p-value at or below Storey's lambda, so every Storey estimate,
+    the pooled one too, is 0."""
+    rng = np.random.default_rng(23)
+    p = [rng.uniform(0.0, 0.5, mi) ** 2 for mi in (300, 200, 150, 100, 50)]
+    return sf.LabeledSample(p, [np.arange(x.size) % 2 > 0 for x in p])
+
+
+def _failing(p, i):
+    if i == 1:
+        raise RuntimeError("boom")
+    return sf.storey_estimate(p, 0.3)
+
+
+_ESTIMATORS = ["spacing", "storey", sf.make_estimator("oracle", _NET5), _failing]
+
+
+def _composed_estimates(pvalues, estimator, name="node {}"):
+    """make_estimator's callable on each unsorted p-value array: the (1, n)
+    estimates, NaN where it raised, and the notes a protocol writes."""
+    est = sf.make_estimator(estimator)
+    r0, failed, zero = [], [], []
+    for i, p in enumerate(pvalues):
+        try:
+            r0.append(est(p, i).value)
+        except (ValueError, RuntimeError) as exc:
+            r0.append(math.nan)
+            failed.append(f"{name.format(i)}: estimator failed: {exc}")
+        if r0[-1] == 0.0:
+            zero.append(f"{name.format(i)}: an estimate of 0 is treated as failed")
+    return np.array([r0]), failed + zero
+
+
+def _bh_at(p, level):
+    if np.isnan(level):
+        return procedures.RejectionOutcome(np.empty(0, dtype=int), 0, 0.0)
+    return sf.bh_procedure(p, float(level))
+
+
+def _bits(n):
+    return math.ceil(math.log2(n)) if n > 1 else 0
+
+
+def _assert_same(res, outcomes, text, notes, sample):
+    assert [o.rejected.tolist() for o in res.outcomes] == [o.rejected.tolist() for o in outcomes]
+    assert (res.metrics, res.per_node_metrics) == sf.confusion_metrics(outcomes, sample)
+    assert res.transcript.serialize() == text
+    assert res.transcript.notes == notes
+
+
+@pytest.mark.parametrize("sample", [_edge_sample(), _all_zero_storey_sample()],
+                         ids=["edge_nodes", "all_zero_storey"])
+@pytest.mark.parametrize("estimator", _ESTIMATORS, ids=["spacing", "storey", "oracle", "callable"])
+def test_protocols_equal_estimate_then_bh(sample, estimator):
+    """Each protocol equals make_estimator on the unsorted p-values, the
+    level from estimate_levels and bh_procedure, written out here."""
+    alpha, sizes, m = 0.2, sample.m_per_node, sample.m
+    r0, notes = _composed_estimates(sample.pvalues, estimator)
+
+    levels = sf.estimate_levels(r0, sizes, alpha).no_comm[0]
+    outcomes = [_bh_at(p, level) for p, level in zip(sample.pvalues, levels)]
+    _assert_same(sf.run_no_comm(sample, alpha, estimator), outcomes, "", notes, sample)
+
+    for adaptive in (False, True):
+        lv = sf.estimate_levels(r0, sizes, alpha, adaptive)
+        outcomes = [_bh_at(p, level) for p, level in zip(sample.pvalues, lv.prop_match[0])]
+        ups = [f"1\tup\t{i}\t-1\t{mi},{c}\t{2 * _bits(mi)}"
+               for i, (mi, c) in enumerate(zip(sizes, lv.m0[0]))]
+        text = "\n".join(ups + [f"1\tbcast\t-1\t-1\t{m},{lv.m0[0].sum()}\t{2 * _bits(m)}"])
+        all_null = ["all nodes estimate every hypothesis null"] * int(np.isnan(lv.prop_match).all())
+        res = sf.run_proportion_matching(sample, alpha, estimator, adaptive)
+        _assert_same(res, outcomes, text, notes + all_null, sample)
+
+    pool = np.concatenate(sample.pvalues)
+    r0, pool_notes = _composed_estimates([pool], estimator, "pool")
+    level = sf.estimate_levels(r0, [m], alpha).pooled_bh[0, 0]
+    rejected = np.zeros(m, dtype=bool)
+    rejected[_bh_at(pool, level).rejected] = True
+    ends = np.cumsum(sizes)
+    idx = [np.flatnonzero(rejected[e - mi:e]) for mi, e in zip(sizes, ends)]
+    outcomes = [procedures.RejectionOutcome(i, i.size, 0.0) for i in idx]
+    text = "\n".join(f"1\tup\t{i}\t-1\tpvalues,{mi}\t{64 * mi}" for i, mi in enumerate(sizes))
+    _assert_same(sf.run_pooled_bh(sample, alpha, estimator), outcomes, text, pool_notes, sample)
+
+    # greedy, against the same protocol fed those estimates by a callable
+    est = sf.make_estimator(estimator)
+    results = []
+    for i, p in enumerate(sample.pvalues):
+        try:
+            results.append(est(p, i))
+        except (ValueError, RuntimeError) as exc:
+            results.append(exc)
+
+    def composed(_p, i):
+        if isinstance(results[i], Exception):
+            raise results[i]
+        return results[i]
+
+    eps = sf.default_epsilon(alpha, m)
+    want = sf.run_greedy_aggregation(sample, alpha, eps, composed)
+    res = sf.run_greedy_aggregation(sample, alpha, eps, estimator)
+    _assert_same(res, want.outcomes, want.transcript.serialize(), want.transcript.notes, sample)
+    replayed = sf.replay_greedy_transcript(res.transcript, sample, eps, estimator)
+    assert [o.rejected.tolist() for o in replayed] == [o.rejected.tolist() for o in want.outcomes]
+
+
+def test_each_protocol_sorts_a_node_once(monkeypatch):
+    s = _edge_sample()
+    calls = []
+    real_sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda *a, **kw: calls.append(1) or real_sort(*a, **kw))
+    eps = sf.default_epsilon(0.2, s.m)
+    runs = {
+        "no_comm": (lambda: sf.run_no_comm(s, 0.2), s.n_nodes),
+        "prop_match": (lambda: sf.run_proportion_matching(s, 0.2), s.n_nodes),
+        "pooled_bh": (lambda: sf.run_pooled_bh(s, 0.2), 1),
+        "greedy": (lambda: sf.run_greedy_aggregation(s, 0.2, eps), s.n_nodes),
+        # Storey reads no sorted copy, so only BH sorts: the three nodes whose
+        # estimate is not 0, and no node for greedy
+        "no_comm_storey": (lambda: sf.run_no_comm(s, 0.2, "storey"), 3),
+        "greedy_storey": (lambda: sf.run_greedy_aggregation(s, 0.2, eps, "storey"), 0),
+    }
+    for name, (run, sorts) in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == sorts, name
+
+
+def test_callable_estimator_gets_unsorted_pvalues():
+    s = _trial(seed=24)
+    seen = {}
+
+    def est(p, i):
+        seen[i] = np.array(p)
+        return sf.storey_estimate(p)
+
+    eps = sf.default_epsilon(0.2, s.m)
+    for run in (sf.run_no_comm, sf.run_proportion_matching,
+                lambda s, a, e: sf.run_greedy_aggregation(s, a, eps, e)):
+        seen.clear()
+        run(s, 0.2, est)
+        assert seen.keys() == {0, 1}
+        for i, p in enumerate(s.pvalues):
+            np.testing.assert_array_equal(seen[i], p)
+    seen.clear()
+    sf.run_pooled_bh(s, 0.2, est)
+    np.testing.assert_array_equal(seen[0], np.concatenate(s.pvalues))

@@ -56,6 +56,48 @@ class TestBH:
         assert sorted(out.rejected.tolist()) == [0, 1]
 
 
+def _step_up_full(rows, levels):
+    """bh_step_up written out over every column: per row, the largest k with
+    P_(k) <= level*k/m, or 0."""
+    ks = []
+    for row, level in zip(rows, levels):
+        ok = row <= level * np.arange(1, row.size + 1) / row.size
+        ks.append(int(np.flatnonzero(ok)[-1]) + 1 if ok.any() else 0)
+    return ks
+
+
+@st.composite
+def _step_up_inputs(draw):
+    """(t, m) ascending rows with ties, p = 0 and 1 and values exactly at
+    some row's level*k/m, and (t,) levels mixing NaN and (0, 1]."""
+    t, m = draw(st.integers(1, 4)), draw(st.integers(0, 30))
+    levels = draw(st.lists(st.one_of(st.just(math.nan), st.floats(0.001, 1.0)),
+                           min_size=t, max_size=t))
+    finite = [level for level in levels if not math.isnan(level)] or [0.2]
+    at_threshold = st.builds(lambda level, k: level * k / m,
+                             st.sampled_from(finite), st.integers(1, max(m, 1)))
+    value = st.one_of(st.sampled_from([0.0, 0.01, 0.05, 1.0]), st.floats(0.0, 1.0),
+                      at_threshold)
+    rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=t, max_size=t))
+    return np.sort(np.array(rows, dtype=float).reshape(t, m), axis=1), np.array(levels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=_step_up_inputs())
+@example(inputs=(np.empty((1, 0)), np.array([0.2])))
+@example(inputs=(np.array([[0.2]]), np.array([0.2])))
+@example(inputs=(np.array([[0.0]]), np.array([math.nan])))
+# level*m/m = 0.1*3/3 rounds above 0.1, and row 0 passes only at k = 3, on it
+@example(inputs=(np.array([[0.1, 0.1 * 3 / 3, 0.1 * 3 / 3], [0.0, 0.0, 0.5]]),
+                 np.array([0.1, math.nan])))
+@example(inputs=(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]), np.array([1.0, 0.5])))
+def test_step_up_prefix_matches_full_formula(inputs):
+    rows, levels = inputs
+    k = procedures.bh_step_up(rows, levels)
+    assert k.shape == (rows.shape[0],)
+    assert k.tolist() == _step_up_full(rows, levels)
+
+
 class TestAdaptiveBH:
     def test_no_adaptation(self):
         p = [0.01, 0.2, 0.5]
