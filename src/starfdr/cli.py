@@ -40,8 +40,17 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 
-def _parse_config_file(path: str) -> dict:
-    """Line-oriented key=value format; '#' starts a comment."""
+# the keys each config reader takes
+_NETWORK_KEYS = frozenset({"q", "r0", "mu", "kind"})
+_CUSTOM_KEYS = frozenset({
+    "id", "sweep", "sweep_values", "n", "nodes", "alpha", "kind", "mu_slope", "mu_flat",
+    "jitter", "eps_multiplier", "rho", "trials", "seed", "methods", "estimator",
+})
+
+
+def _parse_config_file(path: str, keys) -> dict:
+    """Line-oriented key=value format; '#' starts a comment.  A key not in
+    keys, the ones the command reads, raises ValueError."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -50,8 +59,11 @@ def _parse_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in keys:
+                raise ValueError(
+                    f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(sorted(keys))})")
+            out[key] = value
     return out
 
 
@@ -108,7 +120,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _parse_config_file(args.config)
+    cfg = _parse_config_file(args.config, _CUSTOM_KEYS)
     config = _custom_config(cfg)
     out = args.out or os.path.join(default_output_dir(), f"simulate_{config.id}.csv")
     rows = run_experiment(config, out_csv=out)
@@ -117,7 +129,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_optimal_region(args) -> int:
-    cfg = _parse_config_file(args.config)
+    cfg = _parse_config_file(args.config, _NETWORK_KEYS)
     net = _network_from_config(cfg)
     regions, fdr, power = optimal_region(net, args.alpha)
     for i, region in enumerate(regions):

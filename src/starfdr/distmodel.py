@@ -260,17 +260,6 @@ class LabeledSample:
     def m1(self) -> int:
         return int(sum(np.count_nonzero(~lab) for lab in self.null_labels))
 
-    def pooled(self):
-        """Concatenate nodes: (pvalues, node ids, null labels)."""
-        if self.m == 0:
-            return (np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=bool))
-        p = np.concatenate(self.pvalues)
-        ids = np.concatenate(
-            [np.full(len(pv), i, dtype=int) for i, pv in enumerate(self.pvalues)]
-        )
-        lab = np.concatenate(self.null_labels)
-        return p, ids, lab
-
 
 def node_columns(sizes) -> list:
     """Each node's column slice of sample_rows' (t, m) rows, in node order."""

@@ -29,7 +29,7 @@ from .distmodel import (
     sample_trial,
 )
 from .estimators import oracle_estimate
-from .greedy import build_grid, default_epsilon, greedy_rows, row_cells
+from .greedy import default_epsilon, estimate_grid, greedy_rows, row_cells
 from .netsim import (
     greedy_cost,
     make_estimator,
@@ -270,16 +270,14 @@ def _prop_match(block, alpha, eps, cost):
 
 def _greedy(block, alpha, eps, _cost):
     """Greedy aggregation over all of a block's trials at once: each node's
-    cells from row_cells, the protocol's selection order per trial from
-    greedy_rows, and the cost from the message schedule."""
+    cells on the (t, n) estimate_grid from row_cells, the protocol's
+    selection order per trial from greedy_rows, and the cost from the
+    message schedule."""
     sizes = block.sizes
     t, n = block.r0.shape
     m = int(sizes.sum())
-    r0 = block.r0
-    has = ~np.isnan(r0) & (sizes > 0)
-    L, K = np.zeros((t, n)), np.zeros((t, n), dtype=int)
-    grid = build_grid(eps, np.broadcast_to(sizes / m, (t, n))[has], r0[has])
-    L[has], K[has] = grid.lengths, grid.counts
+    grid = estimate_grid(eps, sizes, block.r0)
+    L, K = grid.lengths, grid.counts
     # every trial's candidate cells in (node, cell) order: node i has cells
     # 1..max K in every row, and those beyond a trial's own K count 0, so
     # that trial never selects them

@@ -13,7 +13,8 @@ from .distmodel import LabeledSample, NetworkModel, mixture_cdf
 @dataclass(frozen=True)
 class IntervalGrid:
     """Per-node cell length L and cell count K = floor(1/L); K=0 means the
-    node has no candidate intervals."""
+    node has no candidate intervals.  estimate_grid also builds (t, n)
+    grids, one row per trial."""
 
     lengths: np.ndarray
     counts: np.ndarray
@@ -21,7 +22,7 @@ class IntervalGrid:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.lengths)
+        return self.lengths.shape[-1]
 
     @property
     def total_cells(self) -> int:
@@ -43,6 +44,20 @@ def build_grid(epsilon: float, q_hat, r0_hat) -> IntervalGrid:
         raise ValueError("q and r0 must be positive at every node")
     lengths = epsilon / (q * r0)
     counts = np.floor(1.0 / lengths).astype(int)
+    return IntervalGrid(lengths, counts, epsilon)
+
+
+def estimate_grid(epsilon: float, sizes, r0) -> IntervalGrid:
+    """The grid greedy aggregation runs on: build_grid at q_i = m_i / m and
+    the estimates r0, (n,) or (t, n) with NaN for a failed one.  An empty
+    node or a failed estimate gets no cells (K = 0, L = 0), so does every
+    node of an empty sample."""
+    sizes, r0 = np.asarray(sizes), np.asarray(r0, dtype=float)
+    has = ~np.isnan(r0) & (sizes > 0)
+    q = sizes / max(int(sizes.sum()), 1)
+    grid = build_grid(epsilon, np.broadcast_to(q, r0.shape)[has], r0[has])
+    lengths, counts = np.zeros(r0.shape), np.zeros(r0.shape, dtype=int)
+    lengths[has], counts[has] = grid.lengths, grid.counts
     return IntervalGrid(lengths, counts, epsilon)
 
 
@@ -109,10 +124,6 @@ class IntervalSelection:
     cells: tuple  # (node, cell) pairs in selection order
     m_selected: int
     fdr_hat: float
-
-    @property
-    def cell_set(self) -> frozenset:
-        return frozenset(self.cells)
 
 
 def greedy_rows(H, alpha: float):

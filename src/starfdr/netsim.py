@@ -15,7 +15,6 @@ import numpy as np
 
 from .distmodel import LabeledSample
 from .estimators import (
-    DEFAULT_STOREY_LAMBDA,
     DegenerateSpacingError,
     default_spacing_schedule,
     oracle_estimate,
@@ -24,9 +23,9 @@ from .estimators import (
     storey_estimate,
 )
 from .greedy import (
-    CellDensity,
     IntervalSelection,
-    build_grid,
+    cell_densities,
+    estimate_grid,
     greedy_select,
     node_cells,
 )
@@ -117,7 +116,7 @@ class ProtocolResult:
     selection: IntervalSelection | None = None  # greedy runs only
 
 
-def make_estimator(choice, net=None, storey_lambda: float = DEFAULT_STOREY_LAMBDA):
+def make_estimator(choice, net=None):
     """Resolve an estimator spec into a callable (pvalues, node_index).
 
     choice is "spacing", "storey", "oracle" (needs net for the true r0),
@@ -130,7 +129,7 @@ def make_estimator(choice, net=None, storey_lambda: float = DEFAULT_STOREY_LAMBD
             return spacing_estimate(p, default_spacing_schedule(len(p)))
         return est
     if choice == "storey":
-        return lambda p, _i: storey_estimate(p, storey_lambda)
+        return lambda p, _i: storey_estimate(p)
     if choice == "oracle":
         if net is None:
             raise ValueError("oracle estimator needs the generative network model")
@@ -275,35 +274,22 @@ def run_proportion_matching(
 
 
 def _greedy_cells(sample: LabeledSample, epsilon: float, estimator, transcript: Transcript):
-    """Every node's node_cells on its grid L_i = epsilon / (q_i * r0_i).
+    """The protocol's estimate_grid, and per node what it reports:
+    (j, cells, counts) with each p-value's cell j from node_cells, the cells
+    1..K in rank order, and their counts in that order followed by the -1 an
+    exhausted node reports.
 
     The estimator is resolved and run at each node as in the protocol;
-    failures are noted in the transcript.  A node with no cells (empty,
-    failed or zero estimate, or cells longer than 1) comes back as None.
+    failures are noted in the transcript.
     """
     pvalues = _node_pvalues(sample)
     r0 = _estimates(pvalues, estimator, transcript)[0][0]
-    m = sample.m
-    cells = []
-    for p, r in zip(pvalues, r0):
-        if len(p) == 0 or np.isnan(r):
-            cells.append(None)
-            continue
-        grid = build_grid(epsilon, [len(p) / m], [r])
-        K = int(grid.counts[0])
-        cells.append(node_cells(p, float(grid.lengths[0]), K) if K else None)
-    return cells
-
-
-def _ranked_counts(cells):
-    """Per node, its cell counts in rank order; [] for a cell-less node."""
-    # node = (j, counts, ranking) from node_cells
-    return [[] if node is None else node[1][node[2] - 1].tolist() for node in cells]
-
-
-def _next_report(ranked, cursor, i) -> int:
-    """Count node i reports next: its next-best cell's, or -1 once exhausted."""
-    return ranked[i][cursor[i]] if cursor[i] < len(ranked[i]) else -1
+    grid = estimate_grid(epsilon, sample.m_per_node, r0)
+    nodes = []
+    for p, L, K in zip(pvalues, grid.lengths.tolist(), grid.counts.tolist()):
+        j, counts, ranking = node_cells(p, L, K)
+        nodes.append((j, ranking.tolist(), counts[ranking - 1].tolist() + [-1]))
+    return grid, nodes
 
 
 def run_greedy_aggregation(
@@ -326,8 +312,6 @@ def run_greedy_aggregation(
         raise ValueError("sample is empty")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
 
     transcript = Transcript()
     m = sample.m
@@ -339,55 +323,51 @@ def run_greedy_aggregation(
         transcript.add(0, UP, i, CENTER, (int(mi),), _bits_for_count(int(mi) + 1))
     transcript.add(0, BCAST, CENTER, CENTER, (m,), count_bits)
 
-    cells = _greedy_cells(sample, epsilon, estimator, transcript)
-    ranked = _ranked_counts(cells)
+    _, nodes = _greedy_cells(sample, epsilon, estimator, transcript)
     cursor = [0] * n  # rank of the cell each node hands out next
     scale = epsilon * m
     selected = []  # (node, cell) in selection order
     sum_h = 0.0  # running density total, accumulated in selection order
     latest = [-1] * n  # last reported count per node; -1 = exhausted
     rounds = 0
-    termination = None
 
     while True:
         rounds += 1
         # round 1: every node reports; afterwards only the previous winner
         for i in range(n) if rounds == 1 else (selected[-1][0],):
-            latest[i] = _next_report(ranked, cursor, i)
+            latest[i] = nodes[i][2][cursor[i]]
             bits = CONTROL_BITS if latest[i] < 0 else count_bits
             transcript.add(rounds, UP, i, CENTER, (latest[i],), bits)
-
-        live = [(c, i) for i, c in enumerate(latest) if c >= 0]
-        if not live:
-            termination = TERM_ALL_REJECTED if selected else TERM_NO_REJECTIONS
+        best = max(latest)
+        winner = latest.index(best)  # ties go to the lowest node
+        if best < 0:
+            transcript.termination = TERM_ALL_REJECTED
             break
-        best_count = max(c for c, _ in live)
-        if best_count == 0:
-            termination = TERM_BUDGET_EXHAUSTED if selected else TERM_NO_REJECTIONS
+        if best == 0:
+            transcript.termination = TERM_BUDGET_EXHAUSTED
             break
-        winner = min(i for c, i in live if c == best_count)
-        k = len(selected) + 1
         # same float expression as the batch selector: k <= alpha * sum(h)
-        if not k <= alpha * (sum_h + best_count / scale):
-            termination = TERM_FDR_EXCEEDED if selected else TERM_NO_REJECTIONS
+        if not len(selected) + 1 <= alpha * (sum_h + best / scale):
+            transcript.termination = TERM_FDR_EXCEEDED
             break
         transcript.add(rounds, DOWN, CENTER, winner, (1,), CONTROL_BITS)
         if rounds == 1:
             for i in range(n):
                 if i != winner:
                     transcript.add(1, DOWN, CENTER, i, (0,), CONTROL_BITS)
-        selected.append((winner, int(cells[winner][2][cursor[winner]])))
+        selected.append((winner, nodes[winner][1][cursor[winner]]))
         cursor[winner] += 1
-        sum_h = sum_h + best_count / scale
+        sum_h = sum_h + best / scale
+    if not selected:
+        transcript.termination = TERM_NO_REJECTIONS
 
     transcript.add(rounds, BCAST, CENTER, CENTER, (0,), CONTROL_BITS)
     transcript.rounds = rounds
-    transcript.termination = termination
 
     selection = IntervalSelection(
         tuple(selected), len(selected), len(selected) / sum_h if selected else 0.0
     )
-    outcomes = _cells_to_outcomes(selected, cells)
+    outcomes = _cells_to_outcomes(selected, nodes)
     glob, per_node = confusion_metrics(outcomes, sample)
     return ProtocolResult(outcomes, glob, per_node, transcript, selection)
 
@@ -419,18 +399,18 @@ def greedy_cost(m_per_node, cells_per_node, granted):
     return bits_up, bits_down, grants + 1
 
 
-def _cells_to_outcomes(selected, cells):
-    """Per-node outcomes that reject every p-value in a selected cell."""
-    picked = [[] for _ in cells]
+def _cells_to_outcomes(selected, nodes):
+    """Per-node outcomes that reject every p-value in a selected cell, with
+    nodes as from _greedy_cells."""
+    picked = [[] for _ in nodes]
     for i, cell in selected:
         picked[i].append(cell)
     outcomes = []
-    for node, chosen in zip(cells, picked):
+    for (j, cells, _), chosen in zip(nodes, picked):
         if not chosen:
             outcomes.append(_empty_outcome())
             continue
-        j, counts, _ = node
-        table = np.zeros(counts.size + 2, dtype=bool)  # cells 0..K+1, as j runs
+        table = np.zeros(len(cells) + 2, dtype=bool)  # cells 0..K+1, as j runs
         table[chosen] = True
         idx = np.flatnonzero(table[j])
         outcomes.append(RejectionOutcome(idx, int(idx.size), 0.0))
@@ -452,37 +432,29 @@ def replay_greedy_transcript(
     first message the sample, epsilon and estimator do not reproduce.
     Returns the per-node RejectionOutcome list.
     """
-    cells = _greedy_cells(sample, epsilon, estimator, Transcript())
-    ranked = _ranked_counts(cells)
-    cursor = [0] * len(cells)
+    _, nodes = _greedy_cells(sample, epsilon, estimator, Transcript())
+    cursor = [0] * len(nodes)
     selected = []
     for msg in transcript.messages:
         i = msg.sender if msg.direction == UP else msg.receiver
-        if msg.direction != BCAST and not 0 <= i < len(cells):
+        if msg.direction != BCAST and not 0 <= i < len(nodes):
             raise ValueError(f"round {msg.round}: the sample has no node {i}")
         if msg.direction == UP and msg.round >= 1:
-            want = _next_report(ranked, cursor, i)
+            want = nodes[i][2][cursor[i]]
             if msg.payload != (want,):
                 raise ValueError(
                     f"node {i}, round {msg.round}: transcript reports "
                     f"{msg.payload}, the sample gives {(want,)}"
                 )
         elif msg.direction == DOWN and msg.payload == (1,):
-            if _next_report(ranked, cursor, i) < 0:
+            if nodes[i][2][cursor[i]] < 0:
                 raise ValueError(f"node {i}, round {msg.round}: grant to an exhausted node")
-            selected.append((i, int(cells[i][2][cursor[i]])))
+            selected.append((i, nodes[i][1][cursor[i]]))
             cursor[i] += 1
-    return _cells_to_outcomes(selected, cells)
+    return _cells_to_outcomes(selected, nodes)
 
 
 def batch_equivalent_selection(sample: LabeledSample, alpha, epsilon, estimator="spacing"):
-    """Batch-form selection on the same estimates and cells the protocol uses."""
-    cells = _greedy_cells(sample, epsilon, estimator, Transcript())
-    scale = epsilon * sample.m
-    densities = [
-        CellDensity(i, cell, c, c / scale)
-        for i, node in enumerate(cells)
-        if node is not None
-        for cell, c in enumerate(node[1].tolist(), start=1)
-    ]
-    return greedy_select(densities, alpha)
+    """Batch-form selection on the same estimates and grid the protocol uses."""
+    grid, _ = _greedy_cells(sample, epsilon, estimator, Transcript())
+    return greedy_select(cell_densities(grid, sample), alpha)

@@ -82,6 +82,23 @@ def test_mismatched_config_lengths(tmp_path):
     assert cli(["optimal-region", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, text, where", [
+    ("simulate", "sweep_values = 300\ntrails = 3\nmethod = no_comm\n", "2: unknown key 'trails'"),
+    ("optimal-region", "q = 1.0\nr0 = 0.7\nmu = 2.0\nkinds = cauchy\n",
+     "4: unknown key 'kinds'"),
+])
+def test_unknown_config_key_runtime_error(tmp_path, capsys, command, text, where):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    args = [command, "--config", str(cfg)]
+    if command == "simulate":
+        args += ["--out", str(out)]
+    assert cli(args) == 2
+    captured = capsys.readouterr()
+    assert f"{cfg}:{where}" in captured.err and captured.out == "" and not out.exists()
+
+
 def test_bench_times_a_sweep_point(capsys):
     assert cli(["bench"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -224,17 +224,6 @@ class TestSampleTrial:
         s = sf.sample_trial(net, (5000,), seed=8)
         assert stats.kstest(s.pvalues[0], "uniform").pvalue > 0.01
 
-    def test_pooled(self):
-        net = sf.NetworkModel([
-            sf.NodeModel(0.5, 0.7, sf.gaussian_alt(2.0)),
-            sf.NodeModel(0.5, 0.8, sf.gaussian_alt(1.0)),
-        ])
-        s = sf.sample_trial(net, (30, 20), seed=0)
-        p, ids, lab = s.pooled()
-        assert len(p) == 50
-        assert np.array_equal(np.bincount(ids), [30, 20])
-        assert lab.dtype == bool
-
 
 EPS, TOP = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg
 

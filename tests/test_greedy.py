@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starfdr as sf
-from starfdr.greedy import greedy_order
+from starfdr.greedy import estimate_grid, greedy_order
 
 
 class TestBuildGrid:
@@ -38,6 +38,23 @@ class TestBuildGrid:
             sf.build_grid(0.0, [0.5], [0.5])
         with pytest.raises(ValueError):
             sf.build_grid(0.1, [0.0], [0.5])
+
+    def test_estimate_grid(self):
+        # rows are trials; node 1 is empty and trial 1's node 0 estimate failed
+        r0 = np.array([[0.5, 0.7, 0.25], [np.nan, 0.7, 1.0]])
+        sizes = [30, 0, 10]
+        g = estimate_grid(0.05, sizes, r0)
+        assert g.n_nodes == 3
+        for (t, i), r in np.ndenumerate(r0):
+            if sizes[i] and not np.isnan(r):
+                want = sf.build_grid(0.05, [sizes[i] / 40], [r])
+                assert (g.lengths[t, i], g.counts[t, i]) == (want.lengths[0], want.counts[0])
+            else:
+                assert (g.lengths[t, i], g.counts[t, i]) == (0.0, 0)
+        with np.errstate(all="raise"):  # an empty sample has no cells and no 0/0
+            assert estimate_grid(0.05, [0, 0], [np.nan, 0.5]).counts.tolist() == [0, 0]
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            estimate_grid(0.0, [30], [0.5])
 
 
 def _sample_from(pvalues_per_node):

@@ -79,7 +79,6 @@ class TestPooledBH:
     def test_outcome_split_consistent(self):
         s = _trial(seed=3)
         res = sf.run_pooled_bh(s, 0.2)
-        pooled, ids, _ = s.pooled()
         total = sum(o.rejected.size for o in res.outcomes)
         assert total == res.metrics.R
 

@@ -152,21 +152,37 @@ def _greedy_cost_from_protocol(sample, alpha, eps, est):
     granted = np.bincount([node for node, _ in res.selection.cells], minlength=sample.n_nodes)
     ts = res.transcript
     closed = tuple(int(v) for v in netsim.greedy_cost(sample.m_per_node, K, granted))
-    return res, closed, (ts.bits_up, ts.bits_down, ts.rounds), K
+    return res, closed, (ts.bits_up, ts.bits_down, ts.rounds)
 
 
 def _fixed_r0(r0s):
     return lambda _p, i: sf.oracle_estimate(r0s[i])
 
 
-def test_greedy_cost_all_rejected_and_cell_less_node():
+_TIED = np.full(50, 0.1)  # one cell of 50 p-values, then empty cells
+
+
+@pytest.mark.parametrize("pvalues, r0s, eps, alpha, rounds, cells", [
+    # the second-best cell is empty
+    pytest.param([_TIED], [0.5], 0.125, 0.5, 2, ((0, 1),), id="budget_exhausted"),
+    # the second-best cell would take the estimate above alpha
+    pytest.param([np.r_[_TIED, np.linspace(0.3, 0.99, 50)]], [0.5], 0.125, 0.3, 2, ((0, 1),),
+                 id="fdr_exceeded"),
+    # even the best cell fails the first test
+    pytest.param([np.linspace(0.01, 0.99, 100)], [1.0], 0.1, 0.05, 1, (), id="no_rejections"),
     # node 0: L = 0.42, K = 2, both cells nonempty and granted; node 1: L = 8.4, K = 0
-    p0 = np.r_[np.full(60, 0.2), np.full(40, 0.6)]
-    sample = sf.LabeledSample([p0, np.full(5, 0.5)], [p0 > 0.5, np.ones(5, dtype=bool)])
-    res, closed, transcript, K = _greedy_cost_from_protocol(
-        sample, 0.5, 0.2, _fixed_r0([0.5, 0.5]))
-    assert K == [2, 0]
-    assert res.transcript.termination == netsim.TERM_ALL_REJECTED
+    pytest.param([np.r_[np.full(60, 0.2), np.full(40, 0.6)], np.full(5, 0.5)], [0.5, 0.5],
+                 0.2, 0.5, 3, ((0, 1), (0, 2)), id="all_rejected"),
+])
+def test_greedy_stop_reasons(request, pvalues, r0s, eps, alpha, rounds, cells):
+    sample = sf.LabeledSample(pvalues, [np.ones(len(p), dtype=bool) for p in pvalues])
+    est = _fixed_r0(r0s)
+    res, closed, transcript = _greedy_cost_from_protocol(sample, alpha, eps, est)
+    assert res.transcript.termination == request.node.callspec.id
+    assert (res.transcript.rounds, res.selection.cells) == (rounds, cells)
+    replay = sf.replay_greedy_transcript(res.transcript, sample, eps, est)
+    assert [o.rejected.tolist() for o in replay] == [o.rejected.tolist() for o in res.outcomes]
+    assert sf.batch_equivalent_selection(sample, alpha, eps, est).cells == cells
     assert closed == transcript
 
 
@@ -189,7 +205,7 @@ def test_greedy_cost_matches_transcript(sizes, r0s, signal, alpha, eps, seed):
         pvalues.append(np.where(null, rng.random(mi), rng.random(mi) ** 6))
         labels.append(null)
     sample = sf.LabeledSample(pvalues, labels)
-    _, closed, transcript, _ = _greedy_cost_from_protocol(sample, alpha, eps, _fixed_r0(r0s))
+    _, closed, transcript = _greedy_cost_from_protocol(sample, alpha, eps, _fixed_r0(r0s))
     assert closed == transcript
 
 
