@@ -273,23 +273,24 @@ def run_proportion_matching(
     return _finish(_local_bh(pvalues, srt, levels.prop_match[0]), sample, transcript)
 
 
-def _greedy_cells(sample: LabeledSample, epsilon: float, estimator, transcript: Transcript):
-    """The protocol's estimate_grid, and per node what it reports:
-    (j, cells, counts) with each p-value's cell j from node_cells, the cells
-    1..K in rank order, and their counts in that order followed by the -1 an
-    exhausted node reports.
+def _greedy_grid(sample: LabeledSample, epsilon: float, estimator, transcript: Transcript):
+    """The protocol's estimate_grid, from the estimator run at each node as
+    in the protocol; failures are noted in the transcript."""
+    r0 = _estimates(_node_pvalues(sample), estimator, transcript)[0][0]
+    return estimate_grid(epsilon, sample.m_per_node, r0)
 
-    The estimator is resolved and run at each node as in the protocol;
-    failures are noted in the transcript.
-    """
-    pvalues = _node_pvalues(sample)
-    r0 = _estimates(pvalues, estimator, transcript)[0][0]
-    grid = estimate_grid(epsilon, sample.m_per_node, r0)
+
+def _greedy_cells(sample: LabeledSample, epsilon: float, estimator, transcript: Transcript):
+    """Per node, what it reports on the _greedy_grid: (j, cells, counts)
+    with each p-value's cell j from node_cells, the cells 1..K in rank
+    order, and their counts in that order followed by the -1 an exhausted
+    node reports."""
+    grid = _greedy_grid(sample, epsilon, estimator, transcript)
     nodes = []
-    for p, L, K in zip(pvalues, grid.lengths.tolist(), grid.counts.tolist()):
+    for p, L, K in zip(_node_pvalues(sample), grid.lengths.tolist(), grid.counts.tolist()):
         j, counts, ranking = node_cells(p, L, K)
         nodes.append((j, ranking.tolist(), counts[ranking - 1].tolist() + [-1]))
-    return grid, nodes
+    return nodes
 
 
 def run_greedy_aggregation(
@@ -323,7 +324,7 @@ def run_greedy_aggregation(
         transcript.add(0, UP, i, CENTER, (int(mi),), _bits_for_count(int(mi) + 1))
     transcript.add(0, BCAST, CENTER, CENTER, (m,), count_bits)
 
-    _, nodes = _greedy_cells(sample, epsilon, estimator, transcript)
+    nodes = _greedy_cells(sample, epsilon, estimator, transcript)
     cursor = [0] * n  # rank of the cell each node hands out next
     scale = epsilon * m
     selected = []  # (node, cell) in selection order
@@ -432,7 +433,7 @@ def replay_greedy_transcript(
     first message the sample, epsilon and estimator do not reproduce.
     Returns the per-node RejectionOutcome list.
     """
-    _, nodes = _greedy_cells(sample, epsilon, estimator, Transcript())
+    nodes = _greedy_cells(sample, epsilon, estimator, Transcript())
     cursor = [0] * len(nodes)
     selected = []
     for msg in transcript.messages:
@@ -455,6 +456,7 @@ def replay_greedy_transcript(
 
 
 def batch_equivalent_selection(sample: LabeledSample, alpha, epsilon, estimator="spacing"):
-    """Batch-form selection on the same estimates and grid the protocol uses."""
-    grid, _ = _greedy_cells(sample, epsilon, estimator, Transcript())
+    """Batch-form selection on the same estimates and grid the protocol
+    uses, binning each node once."""
+    grid = _greedy_grid(sample, epsilon, estimator, Transcript())
     return greedy_select(cell_densities(grid, sample), alpha)

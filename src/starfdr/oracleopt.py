@@ -7,7 +7,7 @@ import numpy as np
 
 from .distmodel import GAUSSIAN, NetworkModel, NodeModel, alt_cdf, alt_pdf, alt_superlevel
 from .greedy import selection_asymptotics
-from .procedures import asymptotic_threshold, beta_slope, local_alpha
+from .procedures import asymptotic_threshold, beta_slope, largest_crossing, local_alpha
 
 _LEVEL_TOL = 1e-6  # absolute, on the level t in c_alpha_search
 _SUP_GRID = 10_000  # points on measure_alt_heterogeneity's bracket
@@ -67,10 +67,28 @@ def heterogeneity_delta(net: NetworkModel) -> float:
 
 
 def _node_threshold(node: NodeModel, beta: float) -> float:
-    """sup{t: F_i(t) = beta * t} via the downward fixed-point scan."""
+    """sup{t: F_i(t) = beta * t}, bracketed in closed form.
+
+    h(t) = F_i(t) - beta t has h' = f_i - beta, so h falls outside
+    alt_superlevel(alt, beta), which for beta > 1 is at most one interval
+    (a, b): the crossing lies in [b, 1) when h(b) >= 0 and is 0 otherwise,
+    as when the set is empty or ends at 1 (a Gaussian mu < 0).  A Gaussian
+    mu > 0 has the set (0, b) with h(b) > 0, also where b underflows to 0.0
+    and alt_superlevel drops it.
+    """
     if beta <= 1.0:
         return 1.0
-    return asymptotic_threshold(lambda t: alt_cdf(node.alt, t), 1.0 / beta)
+    alt = node.alt
+    spans = alt_superlevel(alt, beta)
+    if spans:
+        b = spans[-1][1]
+    elif alt.kind == GAUSSIAN and alt.mu > 0.0:
+        b = 0.0
+    else:
+        return 0.0
+    if b >= 1.0:
+        return 0.0
+    return largest_crossing(lambda t: alt_cdf(alt, t) - beta * t, b, 1.0)
 
 
 def fdr_bound_null_heterogeneity(net: NetworkModel, alpha: float,
@@ -111,11 +129,15 @@ def fdr_bound_null_heterogeneity(net: NetworkModel, alpha: float,
     return base + (v + r) / (r - delta) ** 2 * delta
 
 
+def _pooled(net: NetworkModel, rows):
+    """(1/r1*) sum q r1 F_i from the rows F_i of each node, in node order."""
+    return sum(nd.q * nd.r1 * row for nd, row in zip(net.nodes, rows)) / net.r1_star
+
+
 def pooled_alt_cdf(net: NetworkModel, t):
     """Network-level alternative CDF: (1/r1*) sum q r1 F_i."""
     t = np.asarray(t, dtype=float)
-    total = sum(nd.q * nd.r1 * alt_cdf(nd.alt, t) for nd in net.nodes)
-    return total / net.r1_star
+    return _pooled(net, (alt_cdf(nd.alt, t) for nd in net.nodes))
 
 
 def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
@@ -131,10 +153,9 @@ def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
         lo = max(lo - 1e-3, 1e-6)
         hi = min(hi + 1e-3, 1.0 - 1e-6)
     ts = np.linspace(lo, hi, _SUP_GRID)
-    pooled = pooled_alt_cdf(net, ts)
-    deltas = np.array(
-        [float(np.max(np.abs(alt_cdf(nd.alt, ts) - pooled))) for nd in net.nodes]
-    )
+    rows = [alt_cdf(nd.alt, ts) for nd in net.nodes]
+    pooled = _pooled(net, rows)
+    deltas = np.array([float(np.max(np.abs(row - pooled))) for row in rows])
     if lo == 0.0 and any(nd.r1 > 0.0 and nd.alt.kind == GAUSSIAN and nd.alt.mu > 0.0
                          for nd in net.nodes):
         return deltas, np.inf

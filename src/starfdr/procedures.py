@@ -192,17 +192,41 @@ def calibrate_proportion_matching(counts, estimates, alpha: float) -> Calibratio
 
 # log-spaced down to the smallest normal float so that thresholds far below
 # the uniform step are bracketed too; t = 0 is left out
-_THRESHOLD_GRID = np.union1d(np.geomspace(np.finfo(float).tiny, 1.0, 1000),
-                             np.linspace(0.0, 1.0, 10_001)[1:])
+_TINY = np.finfo(float).tiny
+_THRESHOLD_GRID = np.union1d(np.geomspace(_TINY, 1.0, 1000), np.linspace(0.0, 1.0, 10_001)[1:])
 _THRESHOLD_RTOL = 1e-10
+# exponents of one largest_crossing pass: 256 geometric cells per bracket
+_PASS_STEPS = np.linspace(0.0, 1.0, 257)
+
+
+def largest_crossing(h, lo: float, hi: float) -> float:
+    """Largest t in [lo, hi] where h falls through 0, given h(hi) < 0, to
+    the relative tolerance _THRESHOLD_RTOL; 0 when h < 0 at every probe
+    from max(lo, smallest normal float) up.
+
+    h takes an array.  Each pass evaluates it at the lower ends of 256
+    geometric cells of the bracket and keeps the cell after the last point
+    where h >= 0, so a bracket spanning many decades shrinks as fast as a
+    narrow one.
+    """
+    while hi - lo > _THRESHOLD_RTOL * hi:
+        lo = max(lo, _TINY)
+        ts = lo * (hi / lo) ** _PASS_STEPS
+        ts[-1] = hi
+        pos = np.flatnonzero(h(ts[:-1]) >= 0.0)
+        if pos.size == 0:
+            return 0.0
+        i = int(pos[-1])
+        lo, hi = float(ts[i]), float(ts[i + 1])
+    return 0.5 * (lo + hi)
 
 
 def asymptotic_threshold(cdf, alpha: float) -> float:
     """Largest fixed point of G(t) = t/alpha on [0, 1].
 
     Scans a fixed grid down from t=1 for a sign change of G(t) - t/alpha,
-    bisects the bracketing cell to a relative tolerance, and returns 0
-    when the curve never rises above the line away from the origin.
+    shrinks the bracketing cell with largest_crossing, and returns 0 when
+    the curve never rises above the line away from the origin.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -213,14 +237,8 @@ def asymptotic_threshold(cdf, alpha: float) -> float:
     i = int(pos[-1])
     if i == ts.size - 1:
         return 1.0
-    lo, hi = float(ts[i]), float(ts[i + 1])
-    while hi - lo > _THRESHOLD_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if float(cdf(mid)) - mid / alpha >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return largest_crossing(lambda t: np.asarray(cdf(t), dtype=float) - t / alpha,
+                            float(ts[i]), float(ts[i + 1]))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import starfdr as sf
-from starfdr import netsim, procedures
+from starfdr import greedy, netsim, procedures
 
 NET2 = sf.NetworkModel([
     sf.NodeModel(0.5, 0.7, sf.gaussian_alt(2.0)),
@@ -453,3 +453,19 @@ def test_callable_estimator_gets_unsorted_pvalues():
     seen.clear()
     sf.run_pooled_bh(s, 0.2, est)
     np.testing.assert_array_equal(seen[0], np.concatenate(s.pvalues))
+
+
+@pytest.mark.parametrize("sample", [_edge_sample(), _all_zero_storey_sample()],
+                         ids=["edge_nodes", "all_zero_storey"])
+@pytest.mark.parametrize("estimator", _ESTIMATORS, ids=["spacing", "storey", "oracle", "callable"])
+def test_batch_selection_bins_once(sample, estimator, monkeypatch):
+    """batch_equivalent_selection returns the protocol's IntervalSelection
+    and bins each node with cells once."""
+    eps = sf.default_epsilon(0.2, sample.m)
+    want = sf.run_greedy_aggregation(sample, 0.2, eps, estimator).selection
+    grid = netsim._greedy_grid(sample, eps, estimator, netsim.Transcript())
+    calls = []
+    real = greedy.row_cells
+    monkeypatch.setattr(greedy, "row_cells", lambda *a: calls.append(1) or real(*a))
+    assert sf.batch_equivalent_selection(sample, 0.2, eps, estimator) == want
+    assert len(calls) == np.count_nonzero(grid.counts)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 import starfdr as sf
+from starfdr import oracleopt
+
+_TINY = np.finfo(float).tiny
 
 
 class TestLevelRegion:
@@ -238,6 +243,75 @@ class TestNullHeterogeneityBound:
             sf.fdr_bound_null_heterogeneity(net, 0.2, limiting_r0=[0.5, 0.8])
 
 
+def _crossing(alt, beta, lo):
+    """brentq's root of F(t) - beta t on [lo, 1], h(lo) > 0."""
+    return optimize.brentq(lambda t: sf.alt_cdf(alt, t) - beta * t, lo, 1.0,
+                           xtol=1e-300, rtol=1e-14)
+
+
+def _cauchy_density_end(mu, beta):
+    """brentq's right end b of {f > beta} for a Cauchy shift mu: the root
+    of f - beta between the density peak, where cot(pi x) solves
+    c^2 - mu c - 1 = 0, and x = 1/2, where f = 1 / (mu^2 + 1)."""
+    peak = np.arctan2(1.0, 0.5 * (mu + np.hypot(mu, 2.0))) / np.pi
+    return optimize.brentq(lambda x: sf.alt_pdf(sf.cauchy_alt(mu), x) - beta, peak, 0.5,
+                           xtol=1e-15, rtol=1e-15)
+
+
+class TestNodeThreshold:
+    """oracleopt._node_threshold, the largest root of F(t) = beta t, against
+    brentq on brackets that do not use alt_superlevel."""
+
+    # h(tiny) > 0 for these: the Gaussian density exceeds beta near 0; at
+    # mu = 80 the right end of {f > beta} underflows to 0.0
+    @pytest.mark.parametrize("mu", [0.5, 2.5, 10.0, 40.0, 80.0])
+    def test_gaussian(self, mu):
+        alt = sf.gaussian_alt(mu)
+        got = oracleopt._node_threshold(sf.NodeModel(1.0, 0.5, alt), 12.0)
+        assert got > 0.0
+        assert got == pytest.approx(_crossing(alt, 12.0, _TINY), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("alt", [sf.gaussian_alt(0.0), sf.gaussian_alt(-1.5),
+                                     sf.cauchy_alt(0.0), sf.cauchy_alt(-1.5)])
+    def test_nonpositive_shift_is_zero(self, alt):
+        # F(t) <= t < beta t on (0, 1]
+        assert oracleopt._node_threshold(sf.NodeModel(1.0, 0.5, alt), 12.0) == 0.0
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_slope_at_most_one_is_one(self, beta):
+        node = sf.NodeModel(1.0, 0.5, sf.gaussian_alt(2.0))
+        assert oracleopt._node_threshold(node, beta) == 1.0
+
+    # F(b) = 12 b near mu = 6.02: below it h < 0 on (0, 1], above it the
+    # crossing lies beyond b
+    @pytest.mark.parametrize("mu", [5.0, 5.5, 6.0, 6.1, 6.5])
+    def test_cauchy_switch(self, mu):
+        alt = sf.cauchy_alt(mu)
+        b = _cauchy_density_end(mu, 12.0)
+        got = oracleopt._node_threshold(sf.NodeModel(1.0, 0.5, alt), 12.0)
+        if sf.alt_cdf(alt, b) - 12.0 * b < 0.0:
+            assert mu <= 6.0 and got == 0.0
+        else:
+            assert mu >= 6.1 and got > b
+            assert got == pytest.approx(_crossing(alt, 12.0, b), rel=1e-9, abs=0.0)
+
+    def test_rare_signal(self):
+        net = sf.NetworkModel([sf.NodeModel(1.0, 0.9999, sf.gaussian_alt(4.0))])
+        beta = sf.beta_slope(0.2, net.r0_star)
+        got = oracleopt._node_threshold(net.nodes[0], beta)
+        assert got == pytest.approx(_crossing(net.nodes[0].alt, beta, _TINY), rel=1e-9, abs=0.0)
+
+    # beta from 1.01: nearer 1, F(t) and beta t agree to rounding on wide spans
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from([sf.GAUSSIAN, sf.CAUCHY]), mu=st.floats(-5.0, 90.0),
+           beta=st.floats(1.01, 1e4))
+    def test_matches_grid_scan(self, kind, mu, beta):
+        alt = sf.AlternativeModel(kind, mu)
+        want = sf.asymptotic_threshold(lambda t: sf.alt_cdf(alt, t), 1.0 / beta)
+        got = oracleopt._node_threshold(sf.NodeModel(1.0, 0.5, alt), beta)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 class TestAltHeterogeneityBounds:
     def _net(self, mus):
         return sf.NetworkModel([
@@ -292,6 +366,15 @@ class TestAltHeterogeneityBounds:
         assert deltas.shape == (5,) and np.all(deltas >= 0.0)
         assert c == np.inf
         assert sf.alt_heterogeneity_bounds(net, 0.2, deltas, c) is None
+
+    def test_one_grid_cdf_per_node(self, monkeypatch):
+        net = sf.builtin_config("2c").instantiate(3)[0]
+        sizes = []
+        real = oracleopt.alt_cdf
+        monkeypatch.setattr(oracleopt, "alt_cdf", lambda alt, t: sizes.append(np.size(t))
+                            or real(alt, t))
+        sf.measure_alt_heterogeneity(net, 0.2)
+        assert sizes.count(oracleopt._SUP_GRID) == len(net)
 
     def test_inapplicable_lipschitz(self):
         net = self._net((1.8, 2.2))
