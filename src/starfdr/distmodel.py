@@ -70,23 +70,56 @@ def _cot_pi(t):
     return np.tan(np.pi * (0.5 - t))
 
 
+class InteriorGrid:
+    """The CDFs or densities of several alternatives at points t strictly
+    inside (0, 1), one row per alternative in turn.  What the rows share is
+    taken once per grid: z = Q^{-1}(t) for all Gaussian rows, and once per
+    pass tan(pi t/2) for the Cauchy CDFs or cot(pi t) for the Cauchy
+    densities."""
+
+    def __init__(self, t, alts):
+        self.t, self.alts = np.asarray(t, dtype=float), alts
+        self.z = normal_tail_inv(self.t) if any(a.kind == GAUSSIAN for a in alts) else None
+
+    def cdf_rows(self):
+        u = None
+        for alt in self.alts:
+            if alt.kind == GAUSSIAN:
+                yield normal_tail(self.z - alt.mu)
+            else:
+                # 0.5 - arctan(cot(pi t) - mu)/pi in half-angle atan2 form: no
+                # cancellation near 0
+                u = np.tan(0.5 * np.pi * self.t) if u is None else u
+                yield np.arctan2(2.0 * u, 1.0 - u * (u + 2.0 * alt.mu)) / np.pi
+
+    def pdf_rows(self):
+        c = None
+        for alt in self.alts:
+            if alt.kind == GAUSSIAN:
+                yield np.exp(-0.5 * alt.mu**2 + alt.mu * self.z)
+            else:
+                c = _cot_pi(self.t) if c is None else c
+                yield (c**2 + 1.0) / ((c - alt.mu) ** 2 + 1.0)
+
+
+def alt_cdf_rows(alts, t):
+    """The CDF at t of each alternative in turn, total on [0, 1]."""
+    t = np.asarray(t, dtype=float)
+    inner = (t > 0.0) & (t < 1.0)
+    if inner.all():
+        yield from InteriorGrid(t, alts).cdf_rows()
+        return
+    edge = np.asarray(t >= 1.0, dtype=float)  # 0 at and below 0, 1 at and above 1
+    for row in InteriorGrid(t[inner], alts).cdf_rows():
+        out = edge.copy()
+        out[inner] = row
+        yield out
+
+
 def alt_cdf(alt: AlternativeModel, t):
     """CDF of the alternative p-value distribution, total on [0, 1]."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    inner = (t > 0.0) & (t < 1.0)
-    out[t <= 0.0] = 0.0
-    out[t >= 1.0] = 1.0
-    ti = t[inner]
-    if alt.kind == GAUSSIAN:
-        out[inner] = normal_tail(normal_tail_inv(ti) - alt.mu)
-    else:
-        # 0.5 - arctan(cot(pi t) - mu)/pi in half-angle atan2 form: no cancellation near 0
-        u = np.tan(0.5 * np.pi * ti)
-        out[inner] = np.arctan2(2.0 * u, 1.0 - u * (u + 2.0 * alt.mu)) / np.pi
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = next(alt_cdf_rows([alt], t))
+    return float(out) if out.ndim == 0 else out
 
 
 def alt_pdf(alt: AlternativeModel, t):
@@ -98,42 +131,69 @@ def alt_pdf(alt: AlternativeModel, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0) or np.any(t >= 1.0):
         raise ValueError("alt_pdf requires t strictly inside (0, 1)")
-    if alt.kind == GAUSSIAN:
-        out = np.exp(-0.5 * alt.mu**2 + alt.mu * normal_tail_inv(t))
-    else:
-        c = _cot_pi(t)
-        out = (c**2 + 1.0) / ((c - alt.mu) ** 2 + 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = next(InteriorGrid(t, [alt]).pdf_rows())
+    return float(out) if out.ndim == 0 else out
 
 
-def alt_superlevel(alt: AlternativeModel, level: float):
-    """{x in (0,1): alt_pdf(alt, x) > level} as sorted (a, b) intervals.
+def superlevel_ends(alts, levels):
+    """Ends of {x in (0,1): alt_pdf(alts[j], x) > T} for each level T in
+    column j of levels, which has one column per alternative.
 
-    Gaussian: f = exp(mu z - mu^2/2) is monotone in z = Q^{-1}(x).  Cauchy:
-    with c = cot(pi x), f > T is (1-T) c^2 + 2 T mu c + (1 - T - T mu^2) > 0,
+    Returns levels.shape + (4,): (a1, b1, a2, b2) with the set (a1, b1) u
+    (a2, b2) and a1 <= b1 <= a2 <= b2; an empty piece has a == b.  Gaussian:
+    f = exp(mu z - mu^2/2) is monotone in z = Q^{-1}(x).  Cauchy: with
+    c = cot(pi x), f > T is (1-T) c^2 + 2 T mu c + (1 - T - T mu^2) > 0,
     linear at T = 1; its c set maps back by the decreasing x = atan2(1, c)/pi.
     """
-    T, mu = float(level), alt.mu
-    if T <= 0.0 or mu == 0.0:  # f > 0, and f = 1 when mu = 0
-        return [(0.0, 1.0)] if T < 1.0 else []
-    if alt.kind == GAUSSIAN:
-        x = float(normal_tail((math.log(T) + 0.5 * mu * mu) / mu))
-        spans = [(0.0, x)] if mu > 0.0 else [(x, 1.0)]
-    elif T == 1.0:  # 2 mu c > mu^2
-        x = math.atan2(1.0, 0.5 * mu) / math.pi
-        spans = [(0.0, x)] if mu > 0.0 else [(x, 1.0)]
-    else:
-        a, b, k = 1.0 - T, T * mu, 1.0 - T - T * mu * mu
-        disc = b * b - a * k  # quarter discriminant, = T mu^2 - (1-T)^2
-        if disc <= 0.0:  # no sign change: the sign of a throughout
-            return [(0.0, 1.0)] if T < 1.0 else []
-        qq = -(b + math.copysign(math.sqrt(disc), b))  # roots without cancellation
-        x1, x2 = sorted(math.atan2(1.0, c) / math.pi for c in (qq / a, k / qq))
+    T = np.asarray(levels, dtype=float)
+    mu = np.array([alt.mu for alt in alts])
+    gauss = np.array([alt.kind == GAUSSIAN for alt in alts], dtype=bool)
+    # each set is (0, x1) u (x2, 1) where outer, else (x1, x2)
+    x1, x2 = np.ones(T.shape), np.ones(T.shape)
+    outer = np.ones(T.shape, dtype=bool)
+    flat = np.flatnonzero(mu == 0.0)  # f = 1: everything for T < 1, else nothing
+    x1[..., flat] = T[..., flat] < 1.0
+    cols = np.flatnonzero(gauss & (mu != 0.0))
+    if cols.size:
+        m = mu[cols]
+        # T <= 0 (log -inf) gives x = 1 for mu > 0 and x = 0 for mu < 0: everything
+        with np.errstate(divide="ignore", over="ignore"):
+            x = normal_tail((np.log(np.maximum(T[..., cols], 0.0)) + 0.5 * m * m) / m)
+        x1[..., cols] = np.where(m > 0.0, x, 0.0)  # (0, x) for mu > 0
+        x2[..., cols] = np.where(m > 0.0, 1.0, x)  # (x, 1) for mu < 0
+    cols = np.flatnonzero(~gauss & (mu != 0.0))
+    if cols.size:
+        t, m = T[..., cols], mu[cols]
+        with np.errstate(all="ignore"):
+            a, b = 1.0 - t, t * m
+            k = a - b * m  # = 1 - T - T mu^2
+            disc = b * b - a * k  # quarter discriminant, = T mu^2 - (1-T)^2
+            qq = -(b + np.copysign(np.sqrt(disc), b))  # roots without cancellation
+            xa, xb = np.arctan2(1.0, qq / a) / np.pi, np.arctan2(1.0, k / qq) / np.pi
+        lo, hi = np.minimum(xa, xb), np.maximum(xa, xb)
+        # no sign change, or T <= 0: the sign of a throughout, everything
+        # for T < 1 and nothing for T > 1
+        none = ~(disc > 0.0) | (t <= 0.0)
+        lo[none], hi[none] = 1.0, 1.0
+        # T = 1: 2 mu c > mu^2, one-sided like the Gaussian
+        xu = np.arctan2(1.0, 0.5 * m) / np.pi
+        unit = t == 1.0
+        x1[..., cols] = np.where(unit, np.where(m > 0.0, xu, 0.0), lo)
+        x2[..., cols] = np.where(unit, np.where(m > 0.0, 1.0, xu), hi)
         # the two outer intervals for T < 1, the inner one for T > 1
-        spans = [(0.0, x1), (x2, 1.0)] if T < 1.0 else [(x1, x2)]
-    return [(x0, x1) for x0, x1 in spans if x0 < x1]
+        outer[..., cols] = t <= 1.0
+    ends = np.empty(T.shape + (4,))
+    ends[..., 0] = np.where(outer, 0.0, x1)
+    ends[..., 1] = np.where(outer, x1, x2)
+    ends[..., 2] = np.where(outer, x2, 1.0)
+    ends[..., 3] = 1.0
+    return ends
+
+
+def superlevel_pieces(ends) -> list:
+    """The nonempty pieces (a, b) of one set of superlevel_ends, in order."""
+    a1, b1, a2, b2 = ends
+    return [(a, b) for a, b in ((a1, b1), (a2, b2)) if a < b]
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,13 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
+        swept = self.sweep == "n"
+        for n in [int(v) for v in self.sweep_values] if swept else [self.n]:
+            sizes = self.sizes(n).tolist()
+            if min(sizes) < 1:
+                raise ValueError(
+                    f"{'sweep value ' if swept else ''}n={n} leaves node "
+                    f"{sizes.index(min(sizes)) + 1} with no p-values (sizes {sizes})")
 
     def r0(self, i: int) -> float:
         """Null proportion at node i (1-based): 1 - (0.5 - (i-1)/10)."""

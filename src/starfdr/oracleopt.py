@@ -5,58 +5,110 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distmodel import GAUSSIAN, NetworkModel, NodeModel, alt_cdf, alt_pdf, alt_superlevel
+from .distmodel import (GAUSSIAN, InteriorGrid, NetworkModel, NodeModel, alt_cdf,
+                        alt_cdf_rows, mixture_cdf, superlevel_ends, superlevel_pieces)
 from .greedy import selection_asymptotics
 from .procedures import asymptotic_threshold, beta_slope, largest_crossing, local_alpha
 
 _LEVEL_TOL = 1e-6  # absolute, on the level t in c_alpha_search
+# c_alpha_search tries t = 0 and doubles t from 1; past 1e12 (at 2^40) the
+# regions are taken as empty
+_DOUBLING_LEVELS = np.concatenate([[0.0], 2.0 ** np.arange(40)])
+# bisection steps replayed from one feasibility table: 2^6 - 1 levels each
+_TREE_DEPTH = 6
 _SUP_GRID = 10_000  # points on measure_alt_heterogeneity's bracket
+
+
+def _level_ends(nodes, ts) -> np.ndarray:
+    """superlevel_ends of each node's set {x: f(x) > (r0/r1) t} at each
+    level t in ts, for nodes with r1 > 0: shape (len(ts), len(nodes), 4)."""
+    levels = np.multiply.outer(ts, [nd.r0 / nd.r1 for nd in nodes])
+    return superlevel_ends([nd.alt for nd in nodes], levels)
 
 
 def level_region(node: NodeModel, t: float):
     """Superlevel set {x in (0,1): g(x)/r0 > t+1} as sorted intervals,
-    i.e. {x: f(x) > (r0/r1) t}, in closed form from alt_superlevel."""
+    i.e. {x: f(x) > (r0/r1) t}, in closed form."""
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if node.r1 == 0.0:  # all-null node: g/r0 = 1 never exceeds t+1
         return []
-    return alt_superlevel(node.alt, node.r0 / node.r1 * t)
+    return superlevel_pieces(_level_ends([node], [t])[0, 0].tolist())
+
+
+def _fdr_table(net: NetworkModel, ts) -> np.ndarray:
+    """FDR of the level_region sets at each level t in ts, as
+    selection_asymptotics computes it: running sums from 0 of the null and
+    total masses, node by node and piece by piece (an empty piece adds
+    exactly 0)."""
+    nodes = [nd for nd in net.nodes if nd.r1 > 0.0]
+    ends = _level_ends(nodes, ts)
+    g = np.empty_like(ends)
+    for i, nd in enumerate(nodes):
+        g[:, i] = mixture_cdf(nd, ends[:, i])
+    null = np.array([nd.q * nd.r0 for nd in nodes])[:, None] * (ends[..., 1::2] - ends[..., ::2])
+    mass = np.array([nd.q for nd in nodes])[:, None] * (g[..., 1::2] - g[..., ::2])
+    zero = np.zeros((len(ts), 1))
+    num = np.add.accumulate(np.hstack([zero, null.reshape(len(ts), -1)]), axis=1)[:, -1]
+    den = np.add.accumulate(np.hstack([zero, mass.reshape(len(ts), -1)]), axis=1)[:, -1]
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def _bisection_tree(lo: float, hi: float) -> list:
+    """The midpoints the next _TREE_DEPTH steps of bisecting (lo, hi) can
+    visit, in heap order: the halves of node k are nodes 2k+1 (lower) and
+    2k+2 (upper).  Each is 0.5*(lo+hi) of its own bracket, as in the loop."""
+    tree, brackets = [], [(lo, hi)]
+    for _ in range(_TREE_DEPTH):
+        halves = []
+        for a, b in brackets:
+            mid = 0.5 * (a + b)
+            tree.append(mid)
+            halves += [(a, mid), (mid, b)]
+        brackets = halves
+    return tree
 
 
 def c_alpha_search(net: NetworkModel, alpha: float) -> float:
     """Smallest level t whose superlevel regions satisfy FDR <= alpha.
 
     Bisection is valid because regions shrink as t grows; empty regions
-    have FDR 0 and are always feasible.
+    have FDR 0 and are always feasible.  The search is the scalar loop
+    (try 0, double from 1, bisect to _LEVEL_TOL) replayed from feasibility
+    tables: one over all doubling levels, then one per _TREE_DEPTH
+    bisection steps, so it takes the loop's path even where FDR(t) is not
+    monotone.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-
-    def feasible(t: float) -> bool:
-        fdr, _ = selection_asymptotics([level_region(nd, t) for nd in net.nodes], net)
-        return fdr <= alpha
-
-    if feasible(0.0):
+    ok = (_fdr_table(net, _DOUBLING_LEVELS) <= alpha).tolist()
+    if ok[0]:
         return 0.0
-    hi = 1.0
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            return hi  # regions effectively empty; FDR convention 0
+    if not any(ok):
+        return 2.0 ** 40  # regions effectively empty; FDR convention 0
+    hi = float(_DOUBLING_LEVELS[ok.index(True)])
     lo = hi / 2.0 if hi > 1.0 else 0.0
     while hi - lo > _LEVEL_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
+        tree = _bisection_tree(lo, hi)
+        ok = (_fdr_table(net, np.array(tree)) <= alpha).tolist()
+        k = 0
+        for _ in range(_TREE_DEPTH):
+            if hi - lo <= _LEVEL_TOL:
+                break
+            if ok[k]:
+                hi, k = tree[k], 2 * k + 1
+            else:
+                lo, k = tree[k], 2 * k + 2
     return hi
 
 
 def optimal_region(net: NetworkModel, alpha: float):
     """Optimal per-node regions with their asymptotic FDR and power."""
     c = c_alpha_search(net, alpha)
-    regions = [level_region(nd, c) for nd in net.nodes]
+    # level_region(nd, c) for every node, in one superlevel_ends call
+    signal = [nd for nd in net.nodes if nd.r1 > 0.0]
+    ends = iter(_level_ends(signal, [c])[0].tolist())
+    regions = [superlevel_pieces(next(ends)) if nd.r1 > 0.0 else [] for nd in net.nodes]
     fdr, power = selection_asymptotics(regions, net)
     return regions, fdr, power
 
@@ -66,29 +118,31 @@ def heterogeneity_delta(net: NetworkModel) -> float:
     return float(np.dot(net.q, np.abs(net.r0 - net.r0_star)))
 
 
-def _node_threshold(node: NodeModel, beta: float) -> float:
-    """sup{t: F_i(t) = beta * t}, bracketed in closed form.
+def _node_thresholds(nodes, betas) -> np.ndarray:
+    """sup{t: F_i(t) = beta_i * t} for each node, bracketed in closed form.
 
-    h(t) = F_i(t) - beta t has h' = f_i - beta, so h falls outside
-    alt_superlevel(alt, beta), which for beta > 1 is at most one interval
-    (a, b): the crossing lies in [b, 1) when h(b) >= 0 and is 0 otherwise,
-    as when the set is empty or ends at 1 (a Gaussian mu < 0).  A Gaussian
-    mu > 0 has the set (0, b) with h(b) > 0, also where b underflows to 0.0
-    and alt_superlevel drops it.
+    h(t) = F_i(t) - beta t has h' = f_i - beta, so h falls outside the set
+    {f_i > beta}, which for beta > 1 is at most one interval (a, b): the
+    crossing lies in [b, 1) when h(b) >= 0 and is 0 otherwise, as when the
+    set is empty or ends at 1 (a Gaussian mu < 0).  A Gaussian mu > 0 has
+    the set (0, b) with h(b) > 0, also where b underflows to 0.0 and the
+    set comes out empty.  One superlevel_ends call covers all nodes.
     """
-    if beta <= 1.0:
-        return 1.0
-    alt = node.alt
-    spans = alt_superlevel(alt, beta)
-    if spans:
-        b = spans[-1][1]
-    elif alt.kind == GAUSSIAN and alt.mu > 0.0:
-        b = 0.0
-    else:
-        return 0.0
-    if b >= 1.0:
-        return 0.0
-    return largest_crossing(lambda t: alt_cdf(alt, t) - beta * t, b, 1.0)
+    betas = np.asarray(betas, dtype=float)
+    ends = superlevel_ends([nd.alt for nd in nodes], betas[None])[0].tolist()
+    taus = []
+    for nd, beta, row in zip(nodes, betas.tolist(), ends):
+        alt, spans = nd.alt, superlevel_pieces(row)
+        if beta <= 1.0:
+            tau = 1.0
+        elif not spans and not (alt.kind == GAUSSIAN and alt.mu > 0.0):
+            tau = 0.0
+        else:
+            b = spans[-1][1] if spans else 0.0
+            tau = 0.0 if b >= 1.0 else largest_crossing(
+                lambda t: alt_cdf(alt, t) - beta * t, b, 1.0)
+        taus.append(tau)
+    return np.array(taus)
 
 
 def fdr_bound_null_heterogeneity(net: NetworkModel, alpha: float,
@@ -120,7 +174,7 @@ def fdr_bound_null_heterogeneity(net: NetworkModel, alpha: float,
         beta_bar = beta_slope(alpha, min(rbar_star, 1.0 - 1e-9))
         alphas = np.array([local_alpha(beta_bar, rb) for rb in rbar])
         betas = np.array([beta_slope(a, r) for a, r in zip(alphas, r0s)])
-    taus = np.array([_node_threshold(nd, b) for nd, b in zip(net.nodes, betas)])
+    taus = _node_thresholds(net.nodes, betas)
     fmass = np.array([alt_cdf(nd.alt, tau) for nd, tau in zip(net.nodes, taus)])
     v = r0_star * float(np.dot(q, taus))
     r = v + r1_star * float(np.dot(q, fmass))
@@ -136,8 +190,7 @@ def _pooled(net: NetworkModel, rows):
 
 def pooled_alt_cdf(net: NetworkModel, t):
     """Network-level alternative CDF: (1/r1*) sum q r1 F_i."""
-    t = np.asarray(t, dtype=float)
-    return _pooled(net, (alt_cdf(nd.alt, t) for nd in net.nodes))
+    return _pooled(net, alt_cdf_rows([nd.alt for nd in net.nodes], t))
 
 
 def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
@@ -147,21 +200,23 @@ def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
     from 0 the pooled density diverges (constant inf) if a node has signal
     with a Gaussian shift mu > 0; densities are taken at interior points."""
     bs = beta_slope(alpha, net.r0_star)
-    taus = np.array([_node_threshold(nd, bs) for nd in net.nodes])
+    taus = _node_thresholds(net.nodes, np.full(len(net), bs))
     lo, hi = float(taus.min()), float(taus.max())
     if hi - lo < 1e-9:
         lo = max(lo - 1e-3, 1e-6)
         hi = min(hi + 1e-3, 1.0 - 1e-6)
     ts = np.linspace(lo, hi, _SUP_GRID)
-    rows = [alt_cdf(nd.alt, ts) for nd in net.nodes]
+    alts = [nd.alt for nd in net.nodes]
+    # hi < 1, so only ts[0] = lo can fall outside (0, 1): at lo = 0, where F = 0
+    skip = int(lo == 0.0)
+    grid = InteriorGrid(ts[skip:], alts)
+    rows = [np.concatenate([np.zeros(skip), row]) for row in grid.cdf_rows()]
     pooled = _pooled(net, rows)
     deltas = np.array([float(np.max(np.abs(row - pooled))) for row in rows])
     if lo == 0.0 and any(nd.r1 > 0.0 and nd.alt.kind == GAUSSIAN and nd.alt.mu > 0.0
                          for nd in net.nodes):
         return deltas, np.inf
-    ts = ts[ts > 0.0]
-    dens = sum(nd.q * nd.r1 * alt_pdf(nd.alt, ts) for nd in net.nodes) / net.r1_star
-    return deltas, float(np.max(dens))
+    return deltas, float(np.max(_pooled(net, grid.pdf_rows())))
 
 
 def alt_heterogeneity_bounds(net: NetworkModel, alpha: float, deltas,

@@ -123,3 +123,12 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith(",".join(CSV_HEADER) + "\n")
+
+
+def test_simulate_empty_node_runtime_error(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("sweep = n\nsweep_values = 2\ntrials = 2\n")
+    out = tmp_path / "tiny.csv"
+    assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "sweep value n=2 leaves node 5 with no p-values" in capsys.readouterr().err
+    assert not out.exists()

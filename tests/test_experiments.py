@@ -155,3 +155,18 @@ def test_config_validation():
         _tiny_config(sweep_values=())
     with pytest.raises(ValueError):
         _tiny_config(kinds=(sf.GAUSSIAN,))
+
+
+@pytest.mark.parametrize("n, node", [(1, 4), (2, 5)])
+def test_sweep_value_leaving_a_node_empty_rejected(n, node):
+    # sizes(2) is [2, 2, 1, 1, 0]: node 5 would get q = 0
+    with pytest.raises(ValueError, match=f"sweep value n={n} leaves node {node} "):
+        _tiny_config(sweep_values=(400, n))
+    with pytest.raises(ValueError, match=f"n={n} leaves node {node} "):
+        _tiny_config(sweep="mu", sweep_values=(2.0,), n=n)
+
+
+def test_smallest_full_sweep_value_runs():
+    rows = sf.run_experiment(_tiny_config(sweep_values=(3,), trials=2))
+    # the sample-free optimal row counts no trials
+    assert [r.trials for r in rows] == [0 if m == "optimal" else 2 for m in sf.METHODS]

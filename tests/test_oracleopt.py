@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,22 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 import starfdr as sf
-from starfdr import oracleopt
+from starfdr import distmodel, oracleopt
 
 _TINY = np.finfo(float).tiny
+
+# (kind, mu, density level, number of intervals) covering every branch of the
+# closed-form superlevel sets
+_BRACKET_CASES = [
+    ("cauchy", 3.0, 0.5, 2),  # T < 1: the two outer intervals
+    ("cauchy", 3.0, 1.0, 1),  # T = 1: the linear case c > mu/2
+    ("cauchy", -2.0, 1.0, 1),  # T = 1 with mu < 0: c < mu/2
+    ("cauchy", 3.0, 4.0, 1),  # T > 1: the inner interval
+    ("cauchy", -3.0, 4.0, 1),
+    ("cauchy", 0.5, 0.2, 1),  # disc <= 0, T < 1: everything
+    ("cauchy", 2.0, 6.0, 0),  # disc <= 0, T > 1: nothing
+    ("gaussian", -1.5, 0.5, 1),  # mu < 0: a suffix
+]
 
 
 class TestLevelRegion:
@@ -65,16 +80,7 @@ class TestLevelRegion:
         assert len(reg) >= 1
         assert all(0.0 < a < b < 1.0 for a, b in reg) or reg[0][0] > 0.0
 
-    @pytest.mark.parametrize("kind, mu, level, n_intervals", [
-        ("cauchy", 3.0, 0.5, 2),  # T < 1: the two outer intervals
-        ("cauchy", 3.0, 1.0, 1),  # T = 1: the linear case c > mu/2
-        ("cauchy", -2.0, 1.0, 1),  # T = 1 with mu < 0: c < mu/2
-        ("cauchy", 3.0, 4.0, 1),  # T > 1: the inner interval
-        ("cauchy", -3.0, 4.0, 1),
-        ("cauchy", 0.5, 0.2, 1),  # disc <= 0, T < 1: everything
-        ("cauchy", 2.0, 6.0, 0),  # disc <= 0, T > 1: nothing
-        ("gaussian", -1.5, 0.5, 1),  # mu < 0: a suffix
-    ])
+    @pytest.mark.parametrize("kind, mu, level, n_intervals", _BRACKET_CASES)
     def test_endpoints_bracket_level(self, kind, mu, level, n_intervals):
         alt = sf.AlternativeModel(kind, mu)
         # r0 = 1/2 makes the node's level the density level itself
@@ -90,6 +96,102 @@ class TestLevelRegion:
         xs = np.linspace(1e-4, 1.0 - 1e-4, 2001)
         inside = np.array([any(a < x < b for a, b in reg) for x in xs])
         assert np.array_equal(inside, excess(xs) > 0.0)
+
+
+def _closed_form(alt, level):
+    """The superlevel set {f > level} from the scalar closed form in math.*,
+    the form the array core in distmodel.superlevel_ends replaced."""
+    T, mu = float(level), alt.mu
+    if T <= 0.0 or mu == 0.0:
+        return [(0.0, 1.0)] if T < 1.0 else []
+    if alt.kind == sf.GAUSSIAN:
+        x = float(sf.normal_tail((math.log(T) + 0.5 * mu * mu) / mu))
+        spans = [(0.0, x)] if mu > 0.0 else [(x, 1.0)]
+    elif T == 1.0:
+        x = math.atan2(1.0, 0.5 * mu) / math.pi
+        spans = [(0.0, x)] if mu > 0.0 else [(x, 1.0)]
+    else:
+        a, b, k = 1.0 - T, T * mu, 1.0 - T - T * mu * mu
+        disc = b * b - a * k
+        if disc <= 0.0:
+            return [(0.0, 1.0)] if T < 1.0 else []
+        qq = -(b + math.copysign(math.sqrt(disc), b))
+        x1, x2 = sorted(math.atan2(1.0, c) / math.pi for c in (qq / a, k / qq))
+        spans = [(0.0, x1), (x2, 1.0)] if T < 1.0 else [(x1, x2)]
+    return [(x0, x1) for x0, x1 in spans if x0 < x1]
+
+
+def _assert_within_2_ulp(alt, level):
+    """The array core's one-level set against _closed_form: each end within
+    2 ulp.  np.log and math.log may differ in the last place, and a Gaussian
+    end Q(s), s = (ln T + mu^2/2)/mu, carries 2 ulp of ln T and of s through
+    Q's slope phi(s)."""
+    got = distmodel.superlevel_pieces(distmodel.superlevel_ends([alt], [level])[0].tolist())
+    want = _closed_form(alt, level)
+    assert len(got) == len(want)
+    slack = 0.0
+    if alt.kind == sf.GAUSSIAN and level > 0.0 and alt.mu != 0.0:
+        log_t = math.log(level)
+        s = (log_t + 0.5 * alt.mu**2) / alt.mu
+        ulps = np.spacing(abs(s)) + np.spacing(abs(log_t)) / abs(alt.mu)
+        slack = 2.0 * ulps * math.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
+    for x, y in zip(np.ravel(got), np.ravel(want)):
+        assert abs(x - y) <= 2.0 * np.spacing(abs(y)) + slack
+
+
+class TestSuperlevelEnds:
+    @pytest.mark.parametrize("kind, mu, level, n_intervals", _BRACKET_CASES)
+    def test_one_level_matches_closed_form(self, kind, mu, level, n_intervals):
+        _assert_within_2_ulp(sf.AlternativeModel(kind, mu), level)
+
+    @pytest.mark.parametrize("kind", [sf.GAUSSIAN, sf.CAUCHY])
+    def test_one_level_matches_closed_form_random(self, kind):
+        rng = np.random.default_rng(0)
+        for mu, level in zip(rng.uniform(-10.0, 10.0, 4000), np.exp(rng.uniform(-8.0, 8.0, 4000))):
+            _assert_within_2_ulp(sf.AlternativeModel(kind, float(mu)), float(level))
+
+    def test_table_is_its_one_level_cases(self):
+        # every (level, node) cell of one table equals the one-level call
+        rng = np.random.default_rng(1)
+        alts = [sf.AlternativeModel(k, float(m)) for k, m in zip(
+            [sf.GAUSSIAN, sf.CAUCHY] * 3, [2.0, 3.0, -1.5, -2.0, 0.0, 6.0])]
+        levels = np.exp(rng.uniform(-4.0, 4.0, (40, len(alts))))
+        levels[:4] = np.array([0.0, 1.0, 0.5, 20.0])[:, None]
+        table = distmodel.superlevel_ends(alts, levels)
+        for (i, j), level in np.ndenumerate(levels):
+            one = distmodel.superlevel_ends([alts[j]], [level])[0]
+            assert np.array_equal(table[i, j], one)
+
+
+def _scalar_search(feasible):
+    """c_alpha_search as a plain loop, one feasibility test per level."""
+    if feasible(0.0):
+        return 0.0
+    hi = 1.0
+    while not feasible(hi):
+        hi *= 2.0
+        if hi > 1e12:
+            return hi
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    while hi - lo > oracleopt._LEVEL_TOL:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@st.composite
+def _networks(draw):
+    n = draw(st.integers(1, 5))
+    w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    return sf.NetworkModel([
+        sf.NodeModel(float(q), draw(st.just(1.0) | st.floats(0.05, 0.99)),
+                     sf.AlternativeModel(draw(st.sampled_from([sf.GAUSSIAN, sf.CAUCHY])),
+                                         draw(st.floats(-4.0, 8.0))))
+        for q in w / w.sum()
+    ])
 
 
 class TestCAlphaSearch:
@@ -141,6 +243,55 @@ class TestCAlphaSearch:
         assert fdr == pytest.approx(alpha, abs=1e-5)
         assert power == pytest.approx(sf.alt_cdf(node.alt, tau), abs=1e-6)
         assert power == pytest.approx(0.394, abs=1e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=_networks(), alpha=st.floats(0.02, 0.5))
+    def test_replay_matches_scalar_bisection(self, net, alpha):
+        def feasible(t):
+            regions = [sf.level_region(nd, t) for nd in net.nodes]
+            return sf.selection_asymptotics(regions, net)[0] <= alpha
+
+        assert sf.c_alpha_search(net, alpha) == _scalar_search(feasible)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=_networks(), lo=st.floats(0.0, 50.0), width=st.floats(1e-6, 50.0))
+    def test_fdr_table_is_selection_asymptotics(self, net, lo, width):
+        tree = oracleopt._bisection_tree(lo, lo + width)
+        ts = np.concatenate([oracleopt._DOUBLING_LEVELS[:8], tree])
+        want = [sf.selection_asymptotics([sf.level_region(nd, t) for nd in net.nodes], net)[0]
+                for t in ts.tolist()]
+        assert oracleopt._fdr_table(net, ts).tolist() == want
+
+    @pytest.mark.parametrize("below, above, expect", [
+        (0.3, 0.1, None),  # FDR crosses alpha back and forth in [2.5, 4.5]
+        (0.3, 0.3, 2.0 ** 40),  # never feasible
+        (0.1, 0.1, 0.0),  # feasible at 0
+    ])
+    def test_replay_follows_non_monotone_feasibility(self, monkeypatch, below, above, expect):
+        alpha = 0.2
+
+        def fdr(net, ts):
+            ts = np.asarray(ts, dtype=float)
+            # alpha -+ about 4 ulp, flipping with sin(1e7 t)
+            band = alpha + np.where(np.sin(1e7 * ts) > 0.0, 1e-16, -1e-16)
+            if below == above:  # no crossing and no band
+                return np.full(ts.shape, below)
+            return np.where(ts < 2.5, below, np.where(ts > 4.5, above, band))
+
+        seen = {}
+
+        def feasible(t):
+            seen[t] = bool(fdr(None, [t])[0] <= alpha)
+            return seen[t]
+
+        monkeypatch.setattr(oracleopt, "_fdr_table", fdr)
+        want = _scalar_search(feasible)
+        assert sf.c_alpha_search(sf.NetworkModel([sf.NodeModel(1.0, 0.5, sf.gaussian_alt(2.0))]),
+                                 alpha) == want
+        if expect is None:
+            assert {ok for t, ok in seen.items() if 2.5 <= t <= 4.5} == {True, False}
+        else:
+            assert want == expect
 
 
 class TestOptimalRegion:
@@ -258,16 +409,20 @@ def _cauchy_density_end(mu, beta):
                            xtol=1e-15, rtol=1e-15)
 
 
+def _threshold(node, beta):
+    return oracleopt._node_thresholds([node], [beta])[0]
+
+
 class TestNodeThreshold:
-    """oracleopt._node_threshold, the largest root of F(t) = beta t, against
-    brentq on brackets that do not use alt_superlevel."""
+    """oracleopt._node_thresholds, the largest root of F(t) = beta t, against
+    brentq on brackets that do not use superlevel_ends."""
 
     # h(tiny) > 0 for these: the Gaussian density exceeds beta near 0; at
     # mu = 80 the right end of {f > beta} underflows to 0.0
     @pytest.mark.parametrize("mu", [0.5, 2.5, 10.0, 40.0, 80.0])
     def test_gaussian(self, mu):
         alt = sf.gaussian_alt(mu)
-        got = oracleopt._node_threshold(sf.NodeModel(1.0, 0.5, alt), 12.0)
+        got = _threshold(sf.NodeModel(1.0, 0.5, alt), 12.0)
         assert got > 0.0
         assert got == pytest.approx(_crossing(alt, 12.0, _TINY), rel=1e-9, abs=0.0)
 
@@ -275,12 +430,12 @@ class TestNodeThreshold:
                                      sf.cauchy_alt(0.0), sf.cauchy_alt(-1.5)])
     def test_nonpositive_shift_is_zero(self, alt):
         # F(t) <= t < beta t on (0, 1]
-        assert oracleopt._node_threshold(sf.NodeModel(1.0, 0.5, alt), 12.0) == 0.0
+        assert _threshold(sf.NodeModel(1.0, 0.5, alt), 12.0) == 0.0
 
     @pytest.mark.parametrize("beta", [0.5, 1.0])
     def test_slope_at_most_one_is_one(self, beta):
         node = sf.NodeModel(1.0, 0.5, sf.gaussian_alt(2.0))
-        assert oracleopt._node_threshold(node, beta) == 1.0
+        assert _threshold(node, beta) == 1.0
 
     # F(b) = 12 b near mu = 6.02: below it h < 0 on (0, 1], above it the
     # crossing lies beyond b
@@ -288,7 +443,7 @@ class TestNodeThreshold:
     def test_cauchy_switch(self, mu):
         alt = sf.cauchy_alt(mu)
         b = _cauchy_density_end(mu, 12.0)
-        got = oracleopt._node_threshold(sf.NodeModel(1.0, 0.5, alt), 12.0)
+        got = _threshold(sf.NodeModel(1.0, 0.5, alt), 12.0)
         if sf.alt_cdf(alt, b) - 12.0 * b < 0.0:
             assert mu <= 6.0 and got == 0.0
         else:
@@ -298,7 +453,7 @@ class TestNodeThreshold:
     def test_rare_signal(self):
         net = sf.NetworkModel([sf.NodeModel(1.0, 0.9999, sf.gaussian_alt(4.0))])
         beta = sf.beta_slope(0.2, net.r0_star)
-        got = oracleopt._node_threshold(net.nodes[0], beta)
+        got = _threshold(net.nodes[0], beta)
         assert got == pytest.approx(_crossing(net.nodes[0].alt, beta, _TINY), rel=1e-9, abs=0.0)
 
     # beta from 1.01: nearer 1, F(t) and beta t agree to rounding on wide spans
@@ -308,7 +463,7 @@ class TestNodeThreshold:
     def test_matches_grid_scan(self, kind, mu, beta):
         alt = sf.AlternativeModel(kind, mu)
         want = sf.asymptotic_threshold(lambda t: sf.alt_cdf(alt, t), 1.0 / beta)
-        got = oracleopt._node_threshold(sf.NodeModel(1.0, 0.5, alt), beta)
+        got = _threshold(sf.NodeModel(1.0, 0.5, alt), beta)
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
@@ -367,14 +522,17 @@ class TestAltHeterogeneityBounds:
         assert c == np.inf
         assert sf.alt_heterogeneity_bounds(net, 0.2, deltas, c) is None
 
-    def test_one_grid_cdf_per_node(self, monkeypatch):
-        net = sf.builtin_config("2c").instantiate(3)[0]
+    def test_one_quantile_per_grid(self, monkeypatch):
+        # five Gaussian nodes, all crossings positive: the CDF and density
+        # rows on the grid share one z = Q^{-1}(t)
+        net = sf.builtin_config("1").instantiate(1000)[0]
         sizes = []
-        real = oracleopt.alt_cdf
-        monkeypatch.setattr(oracleopt, "alt_cdf", lambda alt, t: sizes.append(np.size(t))
-                            or real(alt, t))
-        sf.measure_alt_heterogeneity(net, 0.2)
-        assert sizes.count(oracleopt._SUP_GRID) == len(net)
+        real = distmodel.normal_tail_inv
+        monkeypatch.setattr(distmodel, "normal_tail_inv", lambda p: sizes.append(np.size(p))
+                            or real(p))
+        _, c = sf.measure_alt_heterogeneity(net, 0.2)
+        assert np.isfinite(c)
+        assert sizes.count(oracleopt._SUP_GRID) == 1
 
     def test_inapplicable_lipschitz(self):
         net = self._net((1.8, 2.2))
