@@ -70,6 +70,27 @@ def _cot_pi(t):
     return np.tan(np.pi * (0.5 - t))
 
 
+# The closed forms of the alternative CDF and density, in the transform of
+# t that each kind shares across alternatives: z = Q^{-1}(t) for a Gaussian
+# shift, u = tan(pi t/2) for a Cauchy CDF and c = cot(pi t) for its density.
+def _gaussian_cdf(z, mu):
+    return normal_tail(z - mu)
+
+
+def _gaussian_pdf(z, mu):
+    return np.exp(-0.5 * mu**2 + mu * z)
+
+
+def _cauchy_cdf(u, mu):
+    # 0.5 - arctan(cot(pi t) - mu)/pi in half-angle atan2 form: no
+    # cancellation near 0
+    return np.arctan2(2.0 * u, 1.0 - u * (u + 2.0 * mu)) / np.pi
+
+
+def _cauchy_pdf(c, mu):
+    return (c**2 + 1.0) / ((c - mu) ** 2 + 1.0)
+
+
 class InteriorGrid:
     """The CDFs or densities of several alternatives at points t strictly
     inside (0, 1), one row per alternative in turn.  What the rows share is
@@ -85,21 +106,30 @@ class InteriorGrid:
         u = None
         for alt in self.alts:
             if alt.kind == GAUSSIAN:
-                yield normal_tail(self.z - alt.mu)
+                yield _gaussian_cdf(self.z, alt.mu)
             else:
-                # 0.5 - arctan(cot(pi t) - mu)/pi in half-angle atan2 form: no
-                # cancellation near 0
                 u = np.tan(0.5 * np.pi * self.t) if u is None else u
-                yield np.arctan2(2.0 * u, 1.0 - u * (u + 2.0 * alt.mu)) / np.pi
+                yield _cauchy_cdf(u, alt.mu)
 
     def pdf_rows(self):
         c = None
         for alt in self.alts:
             if alt.kind == GAUSSIAN:
-                yield np.exp(-0.5 * alt.mu**2 + alt.mu * self.z)
+                yield _gaussian_pdf(self.z, alt.mu)
             else:
                 c = _cot_pi(self.t) if c is None else c
-                yield (c**2 + 1.0) / ((c - alt.mu) ** 2 + 1.0)
+                yield _cauchy_pdf(c, alt.mu)
+
+
+def alt_cdf_pdf(alt: AlternativeModel, t: float) -> tuple[float, float]:
+    """(CDF, density) of the alternative at one point t strictly inside
+    (0, 1), by InteriorGrid's formulas without its array checks: for a
+    solver that steps one point at a time."""
+    if alt.kind == GAUSSIAN:
+        z = -ndtri(t)
+        return float(_gaussian_cdf(z, alt.mu)), float(_gaussian_pdf(z, alt.mu))
+    u = np.tan(0.5 * np.pi * t)
+    return float(_cauchy_cdf(u, alt.mu)), float(_cauchy_pdf(_cot_pi(t), alt.mu))
 
 
 def alt_cdf_rows(alts, t):

@@ -207,7 +207,9 @@ def selection_asymptotics(regions, net: NetworkModel) -> tuple[float, float]:
 
     regions is one list of (a, b) intervals per node, disjoint within a
     node.  FDR is the null mass over total mass of the union; power is the
-    alternative mass scaled by 1/r1*.
+    alternative mass scaled by 1/r1*.  Both are clipped to [0, 1], which
+    rounding in the masses can overstep by an ulp (power 1 + 2e-16 when an
+    all-null node sits next to a node rejecting everything).
     """
     if len(regions) != len(net):
         raise ValueError("one region list per node required")
@@ -228,8 +230,8 @@ def selection_asymptotics(regions, net: NetworkModel) -> tuple[float, float]:
             num += node.q * node.r0 * (b - a)
             den += node.q * g_mass
             gain += node.q * (g_mass - node.r0 * (b - a))
-    fdr = num / den if den > 0.0 else 0.0
-    power = gain / net.r1_star if net.r1_star > 0.0 else 0.0
+    fdr = min(num / den, 1.0) if den > 0.0 else 0.0
+    power = min(max(gain / net.r1_star, 0.0), 1.0) if net.r1_star > 0.0 else 0.0
     return fdr, power
 
 

@@ -6,9 +6,10 @@ from __future__ import annotations
 import numpy as np
 
 from .distmodel import (GAUSSIAN, InteriorGrid, NetworkModel, NodeModel, alt_cdf,
-                        alt_cdf_rows, mixture_cdf, superlevel_ends, superlevel_pieces)
+                        alt_cdf_pdf, alt_cdf_rows, mixture_cdf, superlevel_ends,
+                        superlevel_pieces)
 from .greedy import selection_asymptotics
-from .procedures import asymptotic_threshold, beta_slope, largest_crossing, local_alpha
+from .procedures import asymptotic_threshold, beta_slope, local_alpha, newton_crossing
 
 _LEVEL_TOL = 1e-6  # absolute, on the level t in c_alpha_search
 # c_alpha_search tries t = 0 and doubles t from 1; past 1e12 (at 2^40) the
@@ -103,7 +104,8 @@ def c_alpha_search(net: NetworkModel, alpha: float) -> float:
 
 
 def optimal_region(net: NetworkModel, alpha: float):
-    """Optimal per-node regions with their asymptotic FDR and power."""
+    """Optimal per-node regions with their asymptotic FDR and power; an
+    all-null network (r0* = 1) gets empty regions, FDR 0 and power 0."""
     c = c_alpha_search(net, alpha)
     # level_region(nd, c) for every node, in one superlevel_ends call
     signal = [nd for nd in net.nodes if nd.r1 > 0.0]
@@ -118,6 +120,12 @@ def heterogeneity_delta(net: NetworkModel) -> float:
     return float(np.dot(net.q, np.abs(net.r0 - net.r0_star)))
 
 
+def _slope_gap(alt, beta: float, t: float) -> tuple[float, float]:
+    """h(t) = F(t) - beta t and its slope f(t) - beta, at one interior t."""
+    cdf, pdf = alt_cdf_pdf(alt, t)
+    return cdf - beta * t, pdf - beta
+
+
 def _node_thresholds(nodes, betas) -> np.ndarray:
     """sup{t: F_i(t) = beta_i * t} for each node, bracketed in closed form.
 
@@ -126,7 +134,9 @@ def _node_thresholds(nodes, betas) -> np.ndarray:
     crossing lies in [b, 1) when h(b) >= 0 and is 0 otherwise, as when the
     set is empty or ends at 1 (a Gaussian mu < 0).  A Gaussian mu > 0 has
     the set (0, b) with h(b) > 0, also where b underflows to 0.0 and the
-    set comes out empty.  One superlevel_ends call covers all nodes.
+    set comes out empty.  One superlevel_ends call covers all nodes.  On
+    [b, 1) h is strictly decreasing, so the crossing is its one root there,
+    found by newton_crossing with the closed-form density in h'.
     """
     betas = np.asarray(betas, dtype=float)
     ends = superlevel_ends([nd.alt for nd in nodes], betas[None])[0].tolist()
@@ -139,8 +149,8 @@ def _node_thresholds(nodes, betas) -> np.ndarray:
             tau = 0.0
         else:
             b = spans[-1][1] if spans else 0.0
-            tau = 0.0 if b >= 1.0 else largest_crossing(
-                lambda t: alt_cdf(alt, t) - beta * t, b, 1.0)
+            tau = 0.0 if b >= 1.0 else newton_crossing(
+                lambda t: _slope_gap(alt, beta, t), b, 1.0)
         taus.append(tau)
     return np.array(taus)
 
@@ -154,14 +164,15 @@ def fdr_bound_null_heterogeneity(net: NetworkModel, alpha: float,
     almost-sure limits of the (possibly upward-biased) estimators and the
     bound is anchored at alpha.  Returns None when inapplicable (the
     dispersion term reaches the rejection mass, or the upward-bias
-    compatibility condition fails).
+    compatibility condition fails).  An all-null network (r0* = 1) raises
+    ValueError, from beta_slope: the all-null case is degenerate.
     """
     q, r0s = net.q, net.r0
     r0_star, r1_star = net.r0_star, net.r1_star
     delta = heterogeneity_delta(net)
+    beta_star = beta_slope(alpha, r0_star)
     if limiting_r0 is None:
         base = r0_star * alpha
-        beta_star = beta_slope(alpha, r0_star)
         betas = np.full(len(net), beta_star)
     else:
         rbar = np.asarray(limiting_r0, dtype=float)
@@ -198,7 +209,8 @@ def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
     CDF and the Lipschitz constant of that CDF on the bracketing interval
     [min tau_i, max tau_i] of the per-node slope crossings.  At a bracket
     from 0 the pooled density diverges (constant inf) if a node has signal
-    with a Gaussian shift mu > 0; densities are taken at interior points."""
+    with a Gaussian shift mu > 0; densities are taken at interior points.
+    An all-null network (r0* = 1) raises ValueError, from beta_slope."""
     bs = beta_slope(alpha, net.r0_star)
     taus = _node_thresholds(net.nodes, np.full(len(net), bs))
     lo, hi = float(taus.min()), float(taus.max())
@@ -227,7 +239,8 @@ def alt_heterogeneity_bounds(net: NetworkModel, alpha: float, deltas,
     alternative CDF; lipschitz_c bounds the pooled CDF's slope on the
     bracketing interval.  Returns None when inapplicable (lipschitz_c >=
     global slope, inf included, or the aggregated distance reaches the
-    rejection mass).
+    rejection mass).  An all-null network (r0* = 1) raises ValueError, from
+    beta_slope.
     """
     deltas = np.asarray(deltas, dtype=float)
     if np.any(deltas < 0.0) or lipschitz_c < 0.0:

@@ -4,6 +4,7 @@ metrics."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,24 +222,60 @@ def largest_crossing(h, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def newton_crossing(h_slope, lo: float, hi: float) -> float:
+    """The t in [lo, hi] where a strictly decreasing h falls through 0,
+    given h(hi) < 0, to the relative tolerance _THRESHOLD_RTOL; 0 when
+    h < 0 at max(lo, smallest normal float).
+
+    h_slope(t) returns (h(t), h'(t)) at one point.  Safeguarded Newton: each
+    step keeps the bracket [lo, hi] with h(lo) >= 0 > h(hi) and aims a
+    quarter tolerance past Newton's root, so that once Newton has converged
+    the next two points close the bracket from both sides.  A step that
+    leaves the bracket, or that h' >= 0 leaves undefined, is a geometric
+    bisection step instead.  largest_crossing remains for curves that do
+    not fit this: it needs no derivative, and it finds the largest
+    crossing of an h that may cross 0 more than once.
+    """
+    t = max(lo, _TINY)
+    v, d = h_slope(t)
+    if v < 0.0:
+        return 0.0
+    lo = t
+    while hi - lo > _THRESHOLD_RTOL * hi:
+        nudge = 0.25 * _THRESHOLD_RTOL * hi
+        t_next = t - v / d + (nudge if v >= 0.0 else -nudge) if d < 0.0 else math.inf
+        t = t_next if lo < t_next < hi else math.sqrt(lo) * math.sqrt(hi)
+        v, d = h_slope(t)
+        if v >= 0.0:
+            lo = t
+        else:
+            hi = t
+    return 0.5 * (lo + hi)
+
+
 def asymptotic_threshold(cdf, alpha: float) -> float:
     """Largest fixed point of G(t) = t/alpha on [0, 1].
 
     Scans a fixed grid down from t=1 for a sign change of G(t) - t/alpha,
     shrinks the bracketing cell with largest_crossing, and returns 0 when
-    the curve never rises above the line away from the origin.
+    the curve never rises above the line away from the origin.  A CDF
+    G <= 1 can meet t/alpha only at t <= alpha, so the scan stops at the
+    first grid point above alpha: the grid's points lie at least 3e-5
+    apart in relative terms, so every later one has t/alpha > 1 + 3e-5,
+    out of reach of G and of its rounding.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    ts = _THRESHOLD_GRID
+    grid = _THRESHOLD_GRID
+    ts = grid[: int(np.searchsorted(grid, alpha, "right")) + 1]
     pos = np.flatnonzero(np.asarray(cdf(ts), dtype=float) - ts / alpha >= 0.0)
     if pos.size == 0:
         return 0.0
     i = int(pos[-1])
-    if i == ts.size - 1:
+    if i == grid.size - 1:
         return 1.0
     return largest_crossing(lambda t: np.asarray(cdf(t), dtype=float) - t / alpha,
-                            float(ts[i]), float(ts[i + 1]))
+                            float(grid[i]), float(grid[i + 1]))
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,36 @@ class TestOptimalRegion:
         _, thr_power = sf.selection_asymptotics([[(0.0, tau)]], net)
         assert power >= thr_power - 1e-9
 
+    def test_power_at_most_one(self):
+        # an all-null node next to a node that rejects everything: the
+        # summed masses give 0.2 / 0.19999999999999996 = 1 + 2e-16
+        net = sf.NetworkModel([sf.NodeModel(0.5, 1.0, sf.gaussian_alt(2.0)),
+                               sf.NodeModel(0.5, 0.6, sf.gaussian_alt(3.0))])
+        regions, fdr, power = sf.optimal_region(net, 0.9)
+        assert regions == [[], [(0.0, 1.0)]]
+        assert power == 1.0
+        assert fdr == pytest.approx(0.6, rel=1e-15)
+
+
+class TestAllNullNetwork:
+    """r0* = 1: the optimum rejects nothing, and the bounds are undefined."""
+
+    NET = sf.NetworkModel([sf.NodeModel(0.5, 1.0, sf.gaussian_alt(2.0)),
+                           sf.NodeModel(0.5, 1.0, sf.cauchy_alt(3.0))])
+
+    def test_optimal_region_rejects_nothing(self):
+        assert sf.optimal_region(self.NET, 0.2) == ([[], []], 0.0, 0.0)
+
+    @pytest.mark.parametrize("bound", [
+        lambda net: sf.fdr_bound_null_heterogeneity(net, 0.2),
+        lambda net: sf.fdr_bound_null_heterogeneity(net, 0.2, limiting_r0=[1.0, 1.0]),
+        lambda net: sf.measure_alt_heterogeneity(net, 0.2),
+        lambda net: sf.alt_heterogeneity_bounds(net, 0.2, [0.0, 0.0], 0.0),
+    ], ids=["null", "null_limiting", "measure_alt", "alt"])
+    def test_bounds_raise(self, bound):
+        with pytest.raises(ValueError, match="the all-null case is degenerate"):
+            bound(self.NET)
+
 
 class TestHeterogeneityDelta:
     def test_homogeneous(self):
@@ -455,6 +485,17 @@ class TestNodeThreshold:
         beta = sf.beta_slope(0.2, net.r0_star)
         got = _threshold(net.nodes[0], beta)
         assert got == pytest.approx(_crossing(net.nodes[0].alt, beta, _TINY), rel=1e-9, abs=0.0)
+
+    def test_points_per_crossing(self, monkeypatch):
+        # five Gaussian nodes, every crossing in (0, 1): count the points at
+        # which their CDFs and densities are taken, whatever the solver
+        net = sf.builtin_config("1").instantiate(1000)[0]
+        points = []
+        real = distmodel.ndtri
+        monkeypatch.setattr(distmodel, "ndtri", lambda p: points.append(np.size(p)) or real(p))
+        taus = oracleopt._node_thresholds(net.nodes, np.full(len(net), sf.beta_slope(0.2, net.r0_star)))
+        assert np.all((taus > 0.0) & (taus < 1.0))
+        assert sum(points) <= 64 * len(net)
 
     # beta from 1.01: nearer 1, F(t) and beta t agree to rounding on wide spans
     @settings(max_examples=100, deadline=None)

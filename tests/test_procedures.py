@@ -265,7 +265,47 @@ class TestEstimateLevels:
             sf.estimate_levels([[0.5]], [10], 0.0)
 
 
+def _full_scan(cdf, alpha):
+    """asymptotic_threshold with its grid scanned all the way to t = 1."""
+    ts = procedures._THRESHOLD_GRID
+    pos = np.flatnonzero(np.asarray(cdf(ts), dtype=float) - ts / alpha >= 0.0)
+    if pos.size == 0:
+        return 0.0
+    i = int(pos[-1])
+    if i == ts.size - 1:
+        return 1.0
+    return procedures.largest_crossing(lambda t: np.asarray(cdf(t), dtype=float) - t / alpha,
+                                       float(ts[i]), float(ts[i + 1]))
+
+
+@st.composite
+def _model_cdfs(draw):
+    """A node's mixture CDF, a network's mixture CDF or its pooled
+    alternative CDF, for a random network of mixed kinds."""
+    n = draw(st.integers(1, 4))
+    w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    net = sf.NetworkModel([
+        sf.NodeModel(float(q), draw(st.floats(0.05, 0.999)),
+                     sf.AlternativeModel(draw(st.sampled_from([sf.GAUSSIAN, sf.CAUCHY])),
+                                         draw(st.floats(-4.0, 40.0))))
+        for q in w / w.sum()
+    ])
+    which = draw(st.sampled_from(["node", "network", "pooled"]))
+    if which == "node":
+        return lambda t: sf.mixture_cdf(net.nodes[0], t)
+    if which == "network":
+        return net.cdf
+    return lambda t: sf.pooled_alt_cdf(net, t)
+
+
 class TestAsymptoticThreshold:
+    # alpha from 1e-300: below, t / alpha overflows on the full grid
+    @settings(max_examples=100, deadline=None)
+    @given(cdf=_model_cdfs(), alpha=st.floats(1e-300, 1.0, exclude_max=True))
+    @example(cdf=lambda t: np.minimum(1.0, 0.3 * np.sqrt(t) + 0.7 * np.asarray(t)), alpha=0.5)
+    def test_scan_stopped_at_alpha_is_the_full_scan(self, cdf, alpha):
+        assert sf.asymptotic_threshold(cdf, alpha) == _full_scan(cdf, alpha)
+
     def test_all_null_is_zero(self):
         assert sf.asymptotic_threshold(lambda t: np.asarray(t, dtype=float), 0.2) == 0.0
 
@@ -291,6 +331,25 @@ class TestAsymptoticThreshold:
         got = sf.asymptotic_threshold(cdf, 0.5)
         # 0.3 sqrt(t) + 0.7 t = 2t  =>  sqrt(t) = 3/13... solve: t = (0.3/1.3)^2
         assert got == pytest.approx((0.3 / 1.3) ** 2, abs=1e-6)
+
+
+class TestNewtonCrossing:
+    def test_flat_start_bisects(self):
+        # h' = -3 t^2 is -0.0 at the smallest normal float: no Newton step there
+        got = procedures.newton_crossing(lambda t: (0.3 - t**3, -3.0 * t * t), 0.0, 1.0)
+        assert got == pytest.approx(0.3 ** (1 / 3), rel=1e-10)
+
+    def test_below_zero_at_start_is_zero(self):
+        assert procedures.newton_crossing(lambda t: (-t, -1.0), 0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("root", [1e-300, 1e-12, 0.3, 1.0 - 1e-9])
+    def test_root_of_concave_curve(self, root):
+        # h = sqrt(root) - sqrt(t): convex, steep near 0 and flat towards 1
+        def h_slope(t):
+            return math.sqrt(root) - math.sqrt(t), -0.5 / math.sqrt(t)
+
+        got = procedures.newton_crossing(h_slope, 0.0, 1.0)
+        assert got == pytest.approx(root, rel=1e-10)
 
 
 class TestConfusionMetrics:
