@@ -80,14 +80,12 @@ from .oracleopt import (
     pooled_alt_cdf,
 )
 from .procedures import (
-    Calibration,
     ConfusionMetrics,
     RejectionOutcome,
     adaptive_bh,
     asymptotic_threshold,
     beta_slope,
     bh_procedure,
-    calibrate_proportion_matching,
     confusion_metrics,
     estimate_levels,
     local_alpha,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distmodel import (GAUSSIAN, InteriorGrid, NetworkModel, NodeModel, alt_cdf,
+from .distmodel import (GAUSSIAN, InteriorGrid, NetworkModel, NodeModel,
                         alt_cdf_pdf, alt_cdf_rows, mixture_cdf, superlevel_ends,
                         superlevel_pieces)
 from .greedy import selection_asymptotics
@@ -183,10 +183,11 @@ def fdr_bound_null_heterogeneity(net: NetworkModel, alpha: float,
         base = alpha
         rbar_star = float(np.dot(q, rbar))
         beta_bar = beta_slope(alpha, min(rbar_star, 1.0 - 1e-9))
-        alphas = np.array([local_alpha(beta_bar, rb) for rb in rbar])
-        betas = np.array([beta_slope(a, r) for a, r in zip(alphas, r0s)])
+        betas = beta_slope(local_alpha(beta_bar, rbar), r0s)
     taus = _node_thresholds(net.nodes, betas)
-    fmass = np.array([alt_cdf(nd.alt, tau) for nd, tau in zip(net.nodes, taus)])
+    # F_i(tau_i) by the solver's closed form; F = tau at tau in {0, 1}
+    fmass = np.array([alt_cdf_pdf(nd.alt, tau)[0] if 0.0 < tau < 1.0 else tau
+                      for nd, tau in zip(net.nodes, taus.tolist())])
     v = r0_star * float(np.dot(q, taus))
     r = v + r1_star * float(np.dot(q, fmass))
     if delta >= r:

@@ -88,22 +88,40 @@ def adaptive_bh(pvalues, alpha: float, estimate: NullProportionEstimate) -> Reje
     return bh_procedure(pvalues, min(alpha / estimate.value, 1.0))
 
 
-def beta_slope(alpha: float, r0: float) -> float:
-    """Slope of the line whose supremum crossing with F is the BH threshold."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if not 0.0 <= r0 < 1.0:
-        raise ValueError("r0 must lie in [0, 1); the all-null case is degenerate")
+def _slope(alpha, r0):
     return (1.0 / alpha - r0) / (1.0 - r0)
 
 
-def local_alpha(beta_star: float, r0_local: float) -> float:
-    """Local test size matching a global slope: 1 / ((1-r0)*beta + r0)."""
-    if beta_star < 1.0:
-        raise ValueError("beta_star must be >= 1")
-    if not 0.0 <= r0_local < 1.0:
-        raise ValueError("r0_local must lie in [0, 1)")
+def _matched(beta_star, r0_local):
     return 1.0 / ((1.0 - r0_local) * beta_star + r0_local)
+
+
+def _every(ok) -> bool:
+    """Whether a comparison holds at every element: one reduction for an
+    array, none for a scalar, so scalar calls stay plain comparisons."""
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+
+
+def beta_slope(alpha, r0):
+    """Slope of the line whose supremum crossing with F is the BH threshold.
+
+    Elementwise over floats or arrays; any element out of range raises."""
+    if not _every((0.0 < alpha) & (alpha <= 1.0)):
+        raise ValueError("alpha must lie in (0, 1]")
+    if not _every((0.0 <= r0) & (r0 < 1.0)):
+        raise ValueError("r0 must lie in [0, 1); the all-null case is degenerate")
+    return _slope(alpha, r0)
+
+
+def local_alpha(beta_star, r0_local):
+    """Local test size matching a global slope: 1 / ((1-r0)*beta + r0).
+
+    Elementwise over floats or arrays; any element out of range raises."""
+    if not _every(beta_star >= 1.0):
+        raise ValueError("beta_star must be >= 1")
+    if not _every((0.0 <= r0_local) & (r0_local < 1.0)):
+        raise ValueError("r0_local must lie in [0, 1)")
+    return _matched(beta_star, r0_local)
 
 
 def usable_estimates(estimates) -> np.ndarray:
@@ -129,66 +147,41 @@ class Levels:
 def estimate_levels(estimates, sizes, alpha: float, adaptive: bool = False) -> Levels:
     """The level each method runs BH at, from (t, n) estimates and sizes m_i.
 
-    A node whose estimate failed or is 0 rejects nothing under no
-    communication and proportion matching.  Proportion matching works on
-    the wire counts m0 alone, as every node sees them, so one node's level
-    is its target: the slope beta_slope(target, sum(m0) / m), with target
-    alpha, or min(alpha / r0_star, 1) when adaptive, and the level
+    This is the one proportion-matching calibration.  A node whose estimate
+    failed (NaN) or is 0 rejects nothing under no communication and
+    proportion matching; an estimate outside [0, 1] raises ValueError.
+    Proportion matching works on the wire counts m0 alone, as every node
+    sees them, so one node's level is its target: the slope
+    beta_slope(target, sum(m0) / m), with target alpha, or
+    min(alpha / r0_star, 1) when adaptive, and the level
     local_alpha(beta, m0_i / m_i).  An empty node gets a NaN level, and so
-    does every node of a row whose counts sum to m or more.
+    does every node of a row whose counts sum to m: all-null estimates
+    reject nothing.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    r0 = usable_estimates(estimates)
+    raw = np.asarray(estimates, dtype=float)
+    if np.any((raw < 0.0) | (raw > 1.0)):
+        raise ValueError("estimates must be NaN or lie in [0, 1]")
+    r0 = usable_estimates(raw)
     sizes = np.asarray(sizes, dtype=int)
     failed = np.isnan(r0)
     m0 = np.floor(np.where(failed, 1.0, r0) * sizes + 0.5).astype(int)
     m0_total = m0.sum(axis=1)
     m = int(sizes.sum())
-    # alpha over a tiny r0 or r0_star = 0 gives the full level; m_i = 0 gives NaN
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # alpha over a tiny r0 or r0_star = 0 gives the full level
+    with np.errstate(divide="ignore", over="ignore"):
         no_comm = np.minimum(alpha / r0, 1.0)
         pooled = np.minimum(alpha / np.where(failed, 1.0, r0), 1.0)
-        r0_star = np.minimum(m0_total / m, R0_STAR_CLAMP)
+        r0_star = np.minimum(m0_total / max(m, 1), R0_STAR_CLAMP)
         target = np.minimum(alpha / r0_star, 1.0) if adaptive else np.full(len(r0), alpha)
-        beta = np.where(target < 1.0, (1.0 / target - r0_star) / (1.0 - r0_star), 1.0)
-        r0_local = np.minimum(m0 / sizes, R0_STAR_CLAMP)
-    beta = np.maximum(beta, 1.0)
-    matched = np.minimum(1.0 / ((1.0 - r0_local) * beta[:, None] + r0_local), 1.0)
+    # the formulas of beta_slope and local_alpha without their checks:
+    # target lies in (0, 1], r0_star and r0_local in [0, 1), so beta >= 1
+    beta = _slope(target, r0_star)
+    r0_local = np.minimum(m0 / np.maximum(sizes, 1), R0_STAR_CLAMP)
+    matched = np.minimum(_matched(beta[:, None], r0_local), 1.0)
     matched[failed | (sizes == 0) | (m0_total >= m)[:, None]] = np.nan
     return Levels(r0, no_comm, pooled, m0, r0_star, beta, matched)
-
-
-@dataclass(frozen=True)
-class Calibration:
-    r0_star_hat: float
-    beta_star_hat: float
-    alpha_locals: np.ndarray
-    m0_hats: np.ndarray  # the rounded null counts the nodes send
-
-
-def calibrate_proportion_matching(counts, estimates, alpha: float) -> Calibration:
-    """Pooled null proportion, global slope and per-node local levels.
-
-    These are the values run_proportion_matching (not adaptive) computes
-    from the same estimates, by estimate_levels: nodes send rounded null
-    counts m0_hat = floor(r0_hat*m + 1/2), and everything else follows from
-    those.  A zero estimate counts as failed and gets a NaN level.
-    """
-    counts = np.asarray(counts, dtype=int)
-    r0s = np.array(
-        [e.value if isinstance(e, NullProportionEstimate) else float(e) for e in estimates]
-    )
-    if np.any(counts <= 0):
-        raise ValueError("per-node counts must be positive")
-    if counts.shape != r0s.shape:
-        raise ValueError("counts and estimates must align")
-    if np.any((r0s < 0.0) | (r0s > 1.0)):
-        raise ValueError("estimates must lie in [0, 1]")
-    if np.all(r0s >= 1.0):
-        raise ValueError("no signal anywhere: every node estimates all nulls")
-    lv = estimate_levels(r0s[None], counts, alpha)
-    return Calibration(float(lv.r0_star[0]), float(lv.beta[0]), lv.prop_match[0], lv.m0[0])
 
 
 # log-spaced down to the smallest normal float so that thresholds far below

@@ -133,11 +133,11 @@ class TestProportionMatching:
         s = _trial(seed=8)
         est = sf.make_estimator("storey")
         ests = [est(p, i) for i, p in enumerate(s.pvalues)]
-        cal = sf.calibrate_proportion_matching(s.m_per_node, ests, 0.2)
+        lv = sf.estimate_levels([[e.value for e in ests]], s.m_per_node, 0.2)
         res = sf.run_proportion_matching(s, 0.2, "storey")
         for i, out in enumerate(res.outcomes):
-            r0q = min(cal.m0_hats[i] / s.m_per_node[i], 1 - 1e-6)
-            level = min(sf.local_alpha(cal.beta_star_hat, r0q), 1.0)
+            r0q = min(lv.m0[0, i] / s.m_per_node[i], procedures.R0_STAR_CLAMP)
+            level = min(sf.local_alpha(lv.beta[0], r0q), 1.0)
             direct = sf.bh_procedure(s.pvalues[i], level)
             assert np.array_equal(out.rejected, direct.rejected)
 

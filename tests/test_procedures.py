@@ -138,29 +138,29 @@ class TestCalibrationMath:
         assert sf.local_alpha(43.0 / 3.0, 0.9) == pytest.approx(1.0 / (7.0 / 3.0))
 
     def test_calibrate_two_nodes(self):
-        cal = sf.calibrate_proportion_matching([100, 100], [0.5, 0.9], 0.2)
-        assert cal.r0_star_hat == pytest.approx(0.7)
-        assert cal.beta_star_hat == pytest.approx(43.0 / 3.0, rel=1e-9)
-        assert cal.alpha_locals[0] == pytest.approx(0.1304347826, rel=1e-6)
-        assert cal.alpha_locals[1] == pytest.approx(0.4285714286, rel=1e-6)
+        lv = sf.estimate_levels([[0.5, 0.9]], [100, 100], 0.2)
+        assert lv.r0_star[0] == pytest.approx(0.7)
+        assert lv.beta[0] == pytest.approx(43.0 / 3.0, rel=1e-9)
+        assert lv.prop_match[0, 0] == pytest.approx(0.1304347826, rel=1e-6)
+        assert lv.prop_match[0, 1] == pytest.approx(0.4285714286, rel=1e-6)
 
     def test_single_node_reduces_to_alpha(self):
-        cal = sf.calibrate_proportion_matching([500], [0.73], 0.2)
-        assert cal.alpha_locals[0] == pytest.approx(0.2, abs=1e-12)
+        lv = sf.estimate_levels([[0.73]], [500], 0.2)
+        assert lv.prop_match[0, 0] == pytest.approx(0.2, abs=1e-12)
 
     def test_homogeneous_no_correction(self):
-        cal = sf.calibrate_proportion_matching([100, 300, 50], [0.8, 0.8, 0.8], 0.1)
-        assert np.allclose(cal.alpha_locals, 0.1, atol=1e-12)
+        lv = sf.estimate_levels([[0.8, 0.8, 0.8]], [100, 300, 50], 0.1)
+        assert np.allclose(lv.prop_match[0], 0.1, atol=1e-12)
 
     def test_integer_message_variant(self):
-        cal = sf.calibrate_proportion_matching([100, 100], [0.5, 0.9], 0.2)
-        assert cal.m0_hats.tolist() == [50, 90]
-        assert cal.r0_star_hat == pytest.approx(0.7)
+        lv = sf.estimate_levels([[0.5, 0.9]], [100, 100], 0.2)
+        assert lv.m0[0].tolist() == [50, 90]
+        assert lv.r0_star[0] == pytest.approx(0.7)
 
     def test_integer_rounding(self):
-        cal = sf.calibrate_proportion_matching([3], [0.5], 0.2)
+        lv = sf.estimate_levels([[0.5]], [3], 0.2)
         # floor(1.5 + 0.5) = 2
-        assert cal.m0_hats.tolist() == [2]
+        assert lv.m0[0].tolist() == [2]
 
     def test_levels_come_from_the_wire_counts(self):
         # demo 02's sample, where no r0_hat * m_i is a whole number; the levels
@@ -174,17 +174,48 @@ class TestCalibrationMath:
         s = sf.sample_trial(net, sizes, mean_jitter=0.5, seed=7)
         ests = [sf.make_estimator("spacing")(p, i) for i, p in enumerate(s.pvalues)]
         assert all(e.value * m_i != round(e.value * m_i) for e, m_i in zip(ests, sizes))
-        cal = sf.calibrate_proportion_matching(sizes, ests, 0.2)
+        lv = sf.estimate_levels([[e.value for e in ests]], sizes, 0.2)
         res = sf.run_proportion_matching(s, 0.2)
         for i, m_i in enumerate(sizes):
-            r0q = min(cal.m0_hats[i] / m_i, procedures.R0_STAR_CLAMP)
-            assert cal.alpha_locals[i] == min(sf.local_alpha(cal.beta_star_hat, r0q), 1.0)
-            direct = sf.bh_procedure(s.pvalues[i], cal.alpha_locals[i])
+            r0q = min(lv.m0[0, i] / m_i, procedures.R0_STAR_CLAMP)
+            assert lv.prop_match[0, i] == min(sf.local_alpha(lv.beta[0], r0q), 1.0)
+            direct = sf.bh_procedure(s.pvalues[i], lv.prop_match[0, i])
             assert np.array_equal(res.outcomes[i].rejected, direct.rejected)
 
-    def test_all_ones_error(self):
+    def test_all_null_estimates_reject_nothing(self):
+        # the counts sum to m: every level is NaN, so no node rejects
+        lv = sf.estimate_levels([[1.0, 1.0]], [10, 10], 0.2)
+        assert np.isnan(lv.prop_match).all()
+
+    @pytest.mark.parametrize("estimate", [1.5, -0.1, math.inf])
+    def test_estimate_out_of_range_raises(self, estimate):
+        with pytest.raises(ValueError, match="estimates"):
+            sf.estimate_levels([[estimate, 0.5]], [10, 10], 0.2)
+
+    def test_elementwise_formulas_match_scalar_calls(self):
+        rng = np.random.default_rng(0)
+        alphas, r0s = rng.uniform(0.01, 1.0, 50), rng.uniform(0.0, 0.99, 50)
+        betas = sf.beta_slope(alphas, r0s)
+        levels = sf.local_alpha(betas, r0s[::-1])
+        for i, (a, r) in enumerate(zip(alphas.tolist(), r0s.tolist())):
+            assert betas[i] == sf.beta_slope(a, r)
+            assert levels[i] == sf.local_alpha(sf.beta_slope(a, r), r0s[::-1][i].item())
+
+    @pytest.mark.parametrize("alpha, r0", [
+        ([0.2, 0.0], [0.5, 0.5]), ([0.2, 1.5], [0.5, 0.5]), ([0.2, np.nan], [0.5, 0.5]),
+        ([0.2, 0.2], [0.5, 1.0]), ([0.2, 0.2], [-0.1, 0.5]), ([0.2, 0.2], [0.5, np.nan]),
+    ])
+    def test_beta_slope_any_bad_element_raises(self, alpha, r0):
         with pytest.raises(ValueError):
-            sf.calibrate_proportion_matching([10, 10], [1.0, 1.0], 0.2)
+            sf.beta_slope(np.array(alpha), np.array(r0))
+
+    @pytest.mark.parametrize("beta, r0", [
+        ([9.0, 0.5], [0.5, 0.5]), ([9.0, np.nan], [0.5, 0.5]),
+        ([9.0, 9.0], [0.5, 1.0]), ([9.0, 9.0], [np.nan, 0.5]),
+    ])
+    def test_local_alpha_any_bad_element_raises(self, beta, r0):
+        with pytest.raises(ValueError):
+            sf.local_alpha(np.array(beta), np.array(r0))
 
     @settings(max_examples=100, deadline=None)
     @given(r0=st.floats(0.0, 0.99), alpha=st.floats(0.01, 1.0))
