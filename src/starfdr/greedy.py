@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distmodel import LabeledSample, NetworkModel, mixture_cdf
+from .distmodel import LabeledSample, MixtureColumns, NetworkModel, mixture_cdf
 
 
 @dataclass(frozen=True)
@@ -213,9 +213,8 @@ def selection_asymptotics(regions, net: NetworkModel) -> tuple[float, float]:
     """
     if len(regions) != len(net):
         raise ValueError("one region list per node required")
-    num = den = gain = 0.0
-    for node, intervals in zip(net.nodes, regions):
-        intervals = sorted(intervals)
+    regions = [sorted(intervals) for intervals in regions]
+    for intervals in regions:
         prev_end = -np.inf
         for a, b in intervals:
             if not (0.0 <= a <= b <= 1.0):
@@ -223,13 +222,17 @@ def selection_asymptotics(regions, net: NetworkModel) -> tuple[float, float]:
             if a < prev_end:
                 raise ValueError("intervals within a node must be disjoint")
             prev_end = b
-        if not intervals:
-            continue
-        ends = mixture_cdf(node, np.array(intervals, dtype=float))
-        for (a, b), g_mass in zip(intervals, (ends[:, 1] - ends[:, 0]).tolist()):
-            num += node.q * node.r0 * (b - a)
-            den += node.q * g_mass
-            gain += node.q * (g_mass - node.r0 * (b - a))
+    owner = [i for i, intervals in enumerate(regions) for _ in intervals]
+    spans = [ab for intervals in regions for ab in intervals]
+    # the mixture CDFs at every interval end, in one pass over all nodes
+    ends = MixtureColumns(net.nodes).cdf(np.array(spans, dtype=float).reshape(-1, 2),
+                                         np.array(owner, dtype=int)[:, None])
+    num = den = gain = 0.0
+    for i, (a, b), g_mass in zip(owner, spans, (ends[:, 1] - ends[:, 0]).tolist()):
+        node = net.nodes[i]
+        num += node.q * node.r0 * (b - a)
+        den += node.q * g_mass
+        gain += node.q * (g_mass - node.r0 * (b - a))
     fdr = min(num / den, 1.0) if den > 0.0 else 0.0
     power = min(max(gain / net.r1_star, 0.0), 1.0) if net.r1_star > 0.0 else 0.0
     return fdr, power

@@ -3,28 +3,44 @@ mixture-to-null density ratio) and heterogeneity bound calculators."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .distmodel import (GAUSSIAN, InteriorGrid, NetworkModel, NodeModel,
-                        alt_cdf_pdf, alt_cdf_rows, mixture_cdf, superlevel_ends,
-                        superlevel_pieces)
+from .distmodel import (GAUSSIAN, InteriorGrid, MixtureColumns, NetworkModel, NodeModel,
+                        alt_cdf_pdf, alt_cdf_rows, superlevel_ends, superlevel_pieces)
 from .greedy import selection_asymptotics
 from .procedures import asymptotic_threshold, beta_slope, local_alpha, newton_crossing
 
 _LEVEL_TOL = 1e-6  # absolute, on the level t in c_alpha_search
-# c_alpha_search tries t = 0 and doubles t from 1; past 1e12 (at 2^40) the
-# regions are taken as empty
+# c_alpha_search tries t = 0 and doubles t from 1; when no level up to 2^39
+# is feasible it returns _EMPTY_LEVEL and the regions are taken as empty
 _DOUBLING_LEVELS = np.concatenate([[0.0], 2.0 ** np.arange(40)])
+_EMPTY_LEVEL = 2.0 ** 40
 # bisection steps replayed from one feasibility table: 2^6 - 1 levels each
 _TREE_DEPTH = 6
 _SUP_GRID = 10_000  # points on measure_alt_heterogeneity's bracket
 
 
-def _level_ends(nodes, ts) -> np.ndarray:
-    """superlevel_ends of each node's set {x: f(x) > (r0/r1) t} at each
-    level t in ts, for nodes with r1 > 0: shape (len(ts), len(nodes), 4)."""
-    levels = np.multiply.outer(ts, [nd.r0 / nd.r1 for nd in nodes])
-    return superlevel_ends([nd.alt for nd in nodes], levels)
+class _Signal(NamedTuple):
+    """The nodes with signal (r1 > 0) of one network as the columns of its
+    FDR tables, with the constants every table takes: the level scale
+    r0/r1 and the null weight q r0."""
+
+    cols: MixtureColumns
+    scale: np.ndarray
+    null_weight: np.ndarray
+
+
+def _signal(net: NetworkModel) -> _Signal:
+    cols = MixtureColumns([nd for nd in net.nodes if nd.r1 > 0.0])
+    return _Signal(cols, cols.r0 / cols.r1, cols.q * cols.r0)
+
+
+def _level_ends(alts, scale, ts) -> np.ndarray:
+    """superlevel_ends of each set {x: f_i(x) > scale_i t} at each level t
+    in ts: shape (len(ts), len(alts), 4)."""
+    return superlevel_ends(alts, np.multiply.outer(ts, scale))
 
 
 def level_region(node: NodeModel, t: float):
@@ -34,25 +50,30 @@ def level_region(node: NodeModel, t: float):
         raise ValueError("t must be nonnegative")
     if node.r1 == 0.0:  # all-null node: g/r0 = 1 never exceeds t+1
         return []
-    return superlevel_pieces(_level_ends([node], [t])[0, 0].tolist())
+    return superlevel_pieces(_level_ends([node.alt], [node.r0 / node.r1], [t])[0, 0].tolist())
 
 
-def _fdr_table(net: NetworkModel, ts) -> np.ndarray:
+def _fdr_table(sig: _Signal, ts) -> np.ndarray:
     """FDR of the level_region sets at each level t in ts, as
     selection_asymptotics computes it: running sums from 0 of the null and
     total masses, node by node and piece by piece (an empty piece adds
-    exactly 0)."""
-    nodes = [nd for nd in net.nodes if nd.r1 > 0.0]
-    ends = _level_ends(nodes, ts)
-    g = np.empty_like(ends)
-    for i, nd in enumerate(nodes):
-        g[:, i] = mixture_cdf(nd, ends[:, i])
-    null = np.array([nd.q * nd.r0 for nd in nodes])[:, None] * (ends[..., 1::2] - ends[..., ::2])
-    mass = np.array([nd.q for nd in nodes])[:, None] * (g[..., 1::2] - g[..., ::2])
+    exactly 0).  The mixture CDFs of all ends come from one pass."""
+    ends = _level_ends(sig.cols.alts, sig.scale, ts)
+    g = sig.cols.cdf(ends, np.arange(ends.shape[1])[:, None])
+    null = sig.null_weight[:, None] * (ends[..., 1::2] - ends[..., ::2])
+    mass = sig.cols.q[:, None] * (g[..., 1::2] - g[..., ::2])
     zero = np.zeros((len(ts), 1))
     num = np.add.accumulate(np.hstack([zero, null.reshape(len(ts), -1)]), axis=1)[:, -1]
     den = np.add.accumulate(np.hstack([zero, mass.reshape(len(ts), -1)]), axis=1)[:, -1]
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def _splits(lo: float, hi: float) -> bool:
+    """Whether bisecting (lo, hi) still narrows it: wider than _LEVEL_TOL
+    and with its midpoint strictly inside.  Past 2^33 adjacent floats are
+    further apart than _LEVEL_TOL, and the midpoint of two of them is one
+    of the two."""
+    return hi - lo > _LEVEL_TOL and lo < 0.5 * (lo + hi) < hi
 
 
 def _bisection_tree(lo: float, hi: float) -> list:
@@ -75,26 +96,28 @@ def c_alpha_search(net: NetworkModel, alpha: float) -> float:
 
     Bisection is valid because regions shrink as t grows; empty regions
     have FDR 0 and are always feasible.  The search is the scalar loop
-    (try 0, double from 1, bisect to _LEVEL_TOL) replayed from feasibility
-    tables: one over all doubling levels, then one per _TREE_DEPTH
-    bisection steps, so it takes the loop's path even where FDR(t) is not
-    monotone.
+    (try 0, double from 1, bisect to _LEVEL_TOL or until the midpoint is
+    an end of the bracket) replayed from feasibility tables: one over all
+    doubling levels, then one per _TREE_DEPTH bisection steps, so it takes
+    the loop's path even where FDR(t) is not monotone.  When no level up to
+    2^39 is feasible it returns 2^40, where the regions are taken as empty.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    ok = (_fdr_table(net, _DOUBLING_LEVELS) <= alpha).tolist()
+    sig = _signal(net)
+    ok = (_fdr_table(sig, _DOUBLING_LEVELS) <= alpha).tolist()
     if ok[0]:
         return 0.0
     if not any(ok):
-        return 2.0 ** 40  # regions effectively empty; FDR convention 0
+        return _EMPTY_LEVEL
     hi = float(_DOUBLING_LEVELS[ok.index(True)])
     lo = hi / 2.0 if hi > 1.0 else 0.0
-    while hi - lo > _LEVEL_TOL:
+    while _splits(lo, hi):
         tree = _bisection_tree(lo, hi)
-        ok = (_fdr_table(net, np.array(tree)) <= alpha).tolist()
+        ok = (_fdr_table(sig, np.array(tree)) <= alpha).tolist()
         k = 0
         for _ in range(_TREE_DEPTH):
-            if hi - lo <= _LEVEL_TOL:
+            if not _splits(lo, hi):
                 break
             if ok[k]:
                 hi, k = tree[k], 2 * k + 1
@@ -104,13 +127,16 @@ def c_alpha_search(net: NetworkModel, alpha: float) -> float:
 
 
 def optimal_region(net: NetworkModel, alpha: float):
-    """Optimal per-node regions with their asymptotic FDR and power; an
-    all-null network (r0* = 1) gets empty regions, FDR 0 and power 0."""
+    """Optimal per-node regions with their asymptotic FDR and power.  An
+    all-null network (r0* = 1), or one where no level up to 2^39 meets
+    alpha, gets empty regions, FDR 0 and power 0."""
     c = c_alpha_search(net, alpha)
-    # level_region(nd, c) for every node, in one superlevel_ends call
-    signal = [nd for nd in net.nodes if nd.r1 > 0.0]
-    ends = iter(_level_ends(signal, [c])[0].tolist())
-    regions = [superlevel_pieces(next(ends)) if nd.r1 > 0.0 else [] for nd in net.nodes]
+    if c == _EMPTY_LEVEL:
+        regions = [[] for _ in net.nodes]
+    else:  # level_region(nd, c) for every node, in one superlevel_ends call
+        sig = _signal(net)
+        ends = iter(_level_ends(sig.cols.alts, sig.scale, [c])[0].tolist())
+        regions = [superlevel_pieces(next(ends)) if nd.r1 > 0.0 else [] for nd in net.nodes]
     fdr, power = selection_asymptotics(regions, net)
     return regions, fdr, power
 

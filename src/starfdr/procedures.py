@@ -288,7 +288,7 @@ def confusion_metrics(outcomes, sample: LabeledSample):
     if len(outcomes) != sample.n_nodes:
         raise ValueError("one outcome per node required")
     per_node = []
-    R_tot = V_tot = 0
+    R_tot = V_tot = m1_tot = 0
     for out, labels in zip(outcomes, sample.null_labels):
         idx = np.asarray(out.rejected, dtype=int)
         if idx.size and (idx.min() < 0 or idx.max() >= labels.size):
@@ -299,4 +299,5 @@ def confusion_metrics(outcomes, sample: LabeledSample):
         per_node.append(_metrics(R, V, m1))
         R_tot += R
         V_tot += V
-    return _metrics(R_tot, V_tot, sample.m1), per_node
+        m1_tot += m1
+    return _metrics(R_tot, V_tot, m1_tot), per_node

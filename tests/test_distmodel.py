@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import integrate, signal, special, stats
 
 import starfdr as sf
+from starfdr import distmodel
 from starfdr.distmodel import sample_rows
 
 ALTS = [
@@ -128,6 +129,48 @@ class TestMixture:
         t = 0.1
         expect = 0.5 + 0.5 * sf.alt_pdf(node.alt, t)
         assert sf.mixture_pdf(node, t) == pytest.approx(expect)
+
+
+# the ends of [0, 1] and the floats next to them, which the one-pass CDF
+# takes without the normal quantile or the tangent
+_EDGE_POINTS = [0.0, 1.0, 5e-324, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg]
+
+
+@st.composite
+def _mixed_nodes(draw):
+    n = draw(st.integers(1, 6))
+    return [sf.NodeModel(1.0, draw(st.just(1.0) | st.floats(0.01, 0.99)),
+                         sf.AlternativeModel(draw(st.sampled_from([sf.GAUSSIAN, sf.CAUCHY])),
+                                             draw(st.just(0.0) | st.floats(-6.0, 8.0))))
+            for _ in range(n)]
+
+
+class TestMixtureColumns:
+    @settings(max_examples=80, deadline=None)
+    @given(nodes=_mixed_nodes(), data=st.data())
+    def test_one_pass_is_mixture_cdf(self, nodes, data):
+        # points of every node in one array, in any order: each equals the
+        # node's own mixture_cdf bit for bit, including all-null nodes,
+        # mu = 0 and mu < 0, and the points at and next to 0 and 1
+        k = data.draw(st.integers(1, 40))
+        x = np.array(data.draw(st.lists(st.sampled_from(_EDGE_POINTS) | st.floats(0.0, 1.0),
+                                        min_size=k, max_size=k)))
+        node = np.array(data.draw(st.lists(st.integers(0, len(nodes) - 1),
+                                           min_size=k, max_size=k)))
+        got = distmodel.MixtureColumns(nodes).cdf(x, node)
+        want = [sf.mixture_cdf(nodes[i], t) for i, t in zip(node.tolist(), x.tolist())]
+        assert got.tolist() == want
+
+    def test_table_layout(self):
+        # a (levels, nodes, 4) table with the node on axis 1, as the FDR
+        # tables lay out their interval ends
+        nodes = [sf.NodeModel(0.5, 0.6, sf.gaussian_alt(2.0)),
+                 sf.NodeModel(0.5, 0.9, sf.cauchy_alt(-3.0))]
+        x = np.random.default_rng(3).random((7, 2, 4))
+        x[0, :, 0], x[1, :, 3] = 0.0, 1.0
+        got = distmodel.MixtureColumns(nodes).cdf(x, np.arange(2)[:, None])
+        for j, nd in enumerate(nodes):
+            assert np.array_equal(got[:, j], sf.mixture_cdf(nd, x[:, j]))
 
 
 class TestNetwork:

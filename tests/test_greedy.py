@@ -249,6 +249,60 @@ class TestSelectionAsymptotics:
             sf.selection_asymptotics([[(0.5, 1.2)]], net)
 
 
+def _per_node_asymptotics(regions, net):
+    """selection_asymptotics as a loop of one mixture_cdf call per node."""
+    num = den = gain = 0.0
+    for node, intervals in zip(net.nodes, regions):
+        intervals = sorted(intervals)
+        if not intervals:
+            continue
+        ends = sf.mixture_cdf(node, np.array(intervals, dtype=float))
+        for (a, b), g_mass in zip(intervals, (ends[:, 1] - ends[:, 0]).tolist()):
+            num += node.q * node.r0 * (b - a)
+            den += node.q * g_mass
+            gain += node.q * (g_mass - node.r0 * (b - a))
+    fdr = min(num / den, 1.0) if den > 0.0 else 0.0
+    power = min(max(gain / net.r1_star, 0.0), 1.0) if net.r1_star > 0.0 else 0.0
+    return fdr, power
+
+
+@st.composite
+def _cell_selections(draw):
+    """A mixed network with, per node, a greedy-style union of grid cells
+    (hundreds of them at small L, in any order) or no interval at all."""
+    n = draw(st.integers(1, 5))
+    w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    net = sf.NetworkModel([
+        sf.NodeModel(float(q), draw(st.just(1.0) | st.floats(0.05, 0.99)),
+                     sf.AlternativeModel(draw(st.sampled_from([sf.GAUSSIAN, sf.CAUCHY])),
+                                         draw(st.just(0.0) | st.floats(-4.0, 8.0))))
+        for q in w / w.sum()
+    ])
+    regions = []
+    for _ in range(n):
+        K = draw(st.integers(1, 1000))
+        L = 1.0 / (K + draw(st.floats(0.01, 0.99)))
+        count, seed = draw(st.integers(0, min(K, 400))), draw(st.integers(0, 2**32 - 1))
+        cells = np.random.default_rng(seed).choice(K, count, replace=False) + 1
+        regions.append([((c - 1) * L, c * L) for c in cells.tolist()])
+    return net, regions
+
+
+class TestSelectionAsymptoticsOnePass:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cell_selections())
+    def test_equals_per_node_loop(self, case):
+        net, regions = case
+        assert sf.selection_asymptotics(regions, net) == _per_node_asymptotics(regions, net)
+
+    def test_oracle_selection(self):
+        net = sf.builtin_config("2b").instantiate(4.0)[0]
+        grid, sel = sf.oracle_interval_set(net, sf.default_epsilon(0.2, 1000), 0.2)
+        regions = sf.selection_regions(grid, sel, len(net))
+        assert sum(map(len, regions)) > len(net)
+        assert sf.selection_asymptotics(regions, net) == _per_node_asymptotics(regions, net)
+
+
 def test_selection_regions_roundtrip():
     net = sf.NetworkModel([
         sf.NodeModel(0.5, 0.6, sf.gaussian_alt(2.5)),

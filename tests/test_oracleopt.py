@@ -173,7 +173,8 @@ def _scalar_search(feasible):
         if hi > 1e12:
             return hi
     lo = hi / 2.0 if hi > 1.0 else 0.0
-    while hi - lo > oracleopt._LEVEL_TOL:
+    # past 2^33 adjacent floats are further apart than the tolerance
+    while hi - lo > oracleopt._LEVEL_TOL and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -260,7 +261,7 @@ class TestCAlphaSearch:
         ts = np.concatenate([oracleopt._DOUBLING_LEVELS[:8], tree])
         want = [sf.selection_asymptotics([sf.level_region(nd, t) for nd in net.nodes], net)[0]
                 for t in ts.tolist()]
-        assert oracleopt._fdr_table(net, ts).tolist() == want
+        assert oracleopt._fdr_table(oracleopt._signal(net), ts).tolist() == want
 
     @pytest.mark.parametrize("below, above, expect", [
         (0.3, 0.1, None),  # FDR crosses alpha back and forth in [2.5, 4.5]
@@ -270,7 +271,7 @@ class TestCAlphaSearch:
     def test_replay_follows_non_monotone_feasibility(self, monkeypatch, below, above, expect):
         alpha = 0.2
 
-        def fdr(net, ts):
+        def fdr(sig, ts):
             ts = np.asarray(ts, dtype=float)
             # alpha -+ about 4 ulp, flipping with sin(1e7 t)
             band = alpha + np.where(np.sin(1e7 * ts) > 0.0, 1e-16, -1e-16)
@@ -292,6 +293,66 @@ class TestCAlphaSearch:
             assert {ok for t, ok in seen.items() if 2.5 <= t <= 4.5} == {True, False}
         else:
             assert want == expect
+
+
+class TestSmallAlpha:
+    """exp 1's network at n = 1000: feasible levels past 2^33, where adjacent
+    floats are further apart than the level tolerance, and past 2^39."""
+
+    NET = sf.builtin_config("1").instantiate(1000)[0]
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-12])
+    def test_returns_within_alpha(self, monkeypatch, alpha):
+        # at 1e-12 the bracket is [2^37, 2^38]: the search ends where the
+        # midpoint is an end of the bracket, about 10 tables in all
+        tables = []
+        real = oracleopt._fdr_table
+
+        def counted(sig, ts):
+            tables.append(len(ts))
+            if len(tables) > 12:
+                raise AssertionError("the level search does not end")
+            return real(sig, ts)
+
+        monkeypatch.setattr(oracleopt, "_fdr_table", counted)
+        c = sf.c_alpha_search(self.NET, alpha)
+        assert 2.0 ** 27 < c < 2.0 ** 39
+        tables.clear()
+        regions, fdr, power = sf.optimal_region(self.NET, alpha)
+        assert all(len(r) == 1 for r in regions)
+        assert 0.0 < fdr <= alpha and power > 0.0
+
+    def test_no_feasible_level_rejects_nothing(self):
+        assert sf.c_alpha_search(self.NET, 1e-15) == 2.0 ** 40
+        assert sf.optimal_region(self.NET, 1e-15) == ([[]] * 5, 0.0, 0.0)
+
+    def test_one_quantile_per_table(self, monkeypatch):
+        # five Gaussian nodes: each FDR table and the final
+        # selection_asymptotics take the normal quantile of all their
+        # interval ends in one call
+        calls, per_table, per_selection = [0], [], []
+        real_ndtri, real_table = distmodel.ndtri, oracleopt._fdr_table
+        real_selection = oracleopt.selection_asymptotics
+
+        def ndtri(p):
+            calls[0] += 1
+            return real_ndtri(p)
+
+        def counted(into, real):
+            def wrapped(*args):
+                before = calls[0]
+                out = real(*args)
+                into.append(calls[0] - before)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(distmodel, "ndtri", ndtri)
+        monkeypatch.setattr(oracleopt, "_fdr_table", counted(per_table, real_table))
+        monkeypatch.setattr(oracleopt, "selection_asymptotics",
+                            counted(per_selection, real_selection))
+        sf.optimal_region(self.NET, 0.2)
+        assert len(per_table) >= 2 and set(per_table) == {1}
+        assert per_selection == [1]
 
 
 class TestOptimalRegion:
