@@ -361,16 +361,30 @@ class DependenceSpec:
             raise ValueError("independent spec cannot carry nonzero rho")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LabeledSample:
-    """One trial: per-node p-values plus ground-truth null labels."""
+    """One trial: per-node p-values plus ground-truth null labels.
 
-    pvalues: list  # list of float arrays, one per node
-    null_labels: list  # list of bool arrays, True = truly null
+    An immutable value: construction copies each node's p-values into a
+    read-only 1-D float array and its labels into a read-only bool array
+    of the same length, from arrays or lists alike, and raises ValueError
+    on a mismatch.  A sample hashes and compares by identity, so protocol
+    calls on one sample can share its per-node work (netsim)."""
+
+    pvalues: tuple  # per node, a read-only float array
+    null_labels: tuple  # per node, a read-only bool array, True = truly null
 
     def __post_init__(self):
         if len(self.pvalues) != len(self.null_labels):
             raise ValueError("pvalues and null_labels must align per node")
+        pvalues = tuple(_read_only(p, float) for p in self.pvalues)
+        labels = tuple(_read_only(lab, bool) for lab in self.null_labels)
+        for i, (p, lab) in enumerate(zip(pvalues, labels)):
+            if p.ndim != 1 or lab.shape != p.shape:
+                raise ValueError(f"node {i}: p-values of shape {p.shape} against "
+                                 f"null labels of shape {lab.shape}")
+        object.__setattr__(self, "pvalues", pvalues)
+        object.__setattr__(self, "null_labels", labels)
 
     @property
     def n_nodes(self) -> int:
@@ -389,6 +403,13 @@ class LabeledSample:
         return int(sum(np.count_nonzero(~lab) for lab in self.null_labels))
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """A copy of values as a read-only array of dtype."""
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 def node_columns(sizes) -> list:
     """Each node's column slice of sample_rows' (t, m) rows, in node order."""
     ends = np.cumsum(sizes, dtype=int).tolist()
@@ -402,9 +423,9 @@ def sample_rows(net: NetworkModel, sizes, dep: DependenceSpec, mean_jitter, rngs
     (t, m) with t = len(rngs) and node i in columns node_columns(sizes)[i].
     Row r is the trial sample_trial draws from rngs[r] at these per-node
     sizes, bit for bit: each generator makes the same calls in the same
-    order (per node, the jitter uniform, then random(m_i), then
-    standard_normal(m_i)), and the arithmetic after the draws runs once per
-    node over all rows, in place.
+    order (per node, the jitter uniform if mean_jitter is nonzero, then
+    random(m_i), then standard_normal(m_i)), and the arithmetic after the
+    draws runs once per node over all rows, in place.
     """
     counts = np.asarray(sizes, dtype=int)
     if counts.shape != (len(net),):
@@ -417,7 +438,7 @@ def sample_rows(net: NetworkModel, sizes, dep: DependenceSpec, mean_jitter, rngs
     mu = np.tile([node.alt.mu for node in net.nodes], (t, 1))
     for r, rng in enumerate(rngs):
         for i, c in enumerate(cols):
-            if mean_jitter is not None:
+            if mean_jitter:
                 mu[r, i] = rng.uniform(mu[r, i] - mean_jitter, mu[r, i] + mean_jitter)
             rng.random(out=U[r, c])
             rng.standard_normal(out=P[r, c])
@@ -472,8 +493,9 @@ def sample_trial(
 
     sizes is either a per-node sequence of counts, or a single total count
     in which case each p-value is assigned to node i with probability q_i.
-    When mean_jitter is set, each node draws one location shift per trial
-    uniformly within +-mean_jitter of its base mu.  Identical seeds give
+    When mean_jitter is set and nonzero, each node draws one location shift
+    per trial uniformly within +-mean_jitter of its base mu; a jitter of 0
+    draws nothing and gives the same sample as None.  Identical seeds give
     identical samples; the rho=0 tapering regime coincides with the
     independent path draw for draw.  This is sample_rows with one row.
     """

@@ -346,7 +346,7 @@ def _simulate_point(config, s_idx, point, methods):
     def rng(t):
         return np.random.default_rng(np.random.SeedSequence([config.seed, s_idx, t]))
 
-    trial0 = sample_trial(net, sizes, dep, jitter or None, seed=rng(0))
+    trial0 = sample_trial(net, sizes, dep, jitter, seed=rng(0))
     reference = {
         mth: _protocol_record(mth, trial0, config.alpha, eps, node_est, pooled_est)
         for mth in methods
@@ -355,7 +355,7 @@ def _simulate_point(config, s_idx, point, methods):
     out = {mth: np.empty((config.trials, 5)) for mth in methods}
     for start in range(0, config.trials, per_block):
         rngs = [rng(t) for t in range(start, min(start + per_block, config.trials))]
-        P, N = sample_rows(net, sizes, dep, jitter or None, rngs)
+        P, N = sample_rows(net, sizes, dep, jitter, rngs)
         block = _TrialBlock(P, N, sizes, config.estimator, node_est, pooled_est)
         stop = start + len(rngs)
         for mth in methods:

@@ -8,6 +8,7 @@ bit sizes are exactly reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -160,29 +161,52 @@ def row_estimates(choice, est, rows, sorted_rows, i):
     return values, failures
 
 
-def _estimates(pvalues, estimator, transcript: Transcript, name="node {}"):
+def _estimates(pvalues, estimator, name="node {}"):
     """row_estimates of each node's p-values, as the (1, n) row
-    estimate_levels takes, NaN for a failed or zero estimate, and the
-    ascending copies the estimator read: each array sorted once here for the
-    spacing estimator, None for any other.  The transcript notes each failed
-    or zero estimate, under name.format(i)."""
+    estimate_levels takes, NaN for a failed or zero estimate; the ascending
+    copies the estimator read: each array sorted once here for the spacing
+    estimator, None for any other; and a note for each failed or zero
+    estimate, under name.format(i).  Arrays come back read-only and the
+    notes as a tuple, so that one result can serve several calls."""
     est = make_estimator(estimator)
     sorted_pvalues = [np.sort(p) for p in pvalues] if estimator == "spacing" else None
     r0 = np.full((1, len(pvalues)), np.nan)
+    notes = []
     for i, p in enumerate(pvalues):
         srt = None if sorted_pvalues is None else sorted_pvalues[i][None]
         r0[:, i], failures = row_estimates(estimator, est, p[None], srt, i)
-        for exc in failures.values():
-            transcript.notes.append(f"{name.format(i)}: estimator failed: {exc}")
+        notes += [f"{name.format(i)}: estimator failed: {exc}" for exc in failures.values()]
     usable = usable_estimates(r0)
     for i in np.flatnonzero(np.isnan(usable[0]) & ~np.isnan(r0[0])):
-        transcript.notes.append(f"{name.format(i)}: an estimate of 0 is treated as failed")
-    return usable, sorted_pvalues
+        notes.append(f"{name.format(i)}: an estimate of 0 is treated as failed")
+    usable.flags.writeable = False
+    if sorted_pvalues is not None:
+        for srt in sorted_pvalues:
+            srt.flags.writeable = False
+        sorted_pvalues = tuple(sorted_pvalues)
+    return usable, sorted_pvalues, tuple(notes)
 
 
-def _node_pvalues(sample: LabeledSample) -> list:
-    """Each node's p-values as a float array."""
-    return [np.asarray(p, dtype=float) for p in sample.pvalues]
+@functools.lru_cache(maxsize=1)
+def _named_estimates(sample: LabeledSample, estimator: str):
+    """_estimates of sample's nodes under a named estimator, kept for the
+    next call.  One slot: successive protocol calls on one sample (a run
+    and its replay, or each protocol in turn) share it, only the last
+    sample's sorted copies stay in memory, and the sample, immutable and
+    keyed by identity, cannot change under it."""
+    return _estimates(sample.pvalues, estimator)
+
+
+def _node_estimates(sample: LabeledSample, estimator, transcript: Transcript):
+    """_estimates of each node of sample, its notes added to transcript.
+    A named estimator's result comes from the slot of _named_estimates; a
+    callable estimator runs afresh on every call."""
+    if callable(estimator):
+        r0, srt, notes = _estimates(sample.pvalues, estimator)
+    else:
+        r0, srt, notes = _named_estimates(sample, estimator)
+    transcript.notes.extend(notes)
+    return r0, srt
 
 
 def _local_bh(pvalues, sorted_pvalues, levels) -> list:
@@ -209,10 +233,9 @@ def run_no_comm(sample: LabeledSample, alpha: float, estimator="spacing") -> Pro
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript()
-    pvalues = _node_pvalues(sample)
-    r0, srt = _estimates(pvalues, estimator, transcript)
+    r0, srt = _node_estimates(sample, estimator, transcript)
     levels = estimate_levels(r0, sample.m_per_node, alpha).no_comm[0]
-    return _finish(_local_bh(pvalues, srt, levels), sample, transcript)
+    return _finish(_local_bh(sample.pvalues, srt, levels), sample, transcript)
 
 
 def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> ProtocolResult:
@@ -225,15 +248,15 @@ def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> P
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript(rounds=1)
-    pvalues = _node_pvalues(sample)
-    pooled = np.concatenate(pvalues)
+    pooled = np.concatenate(sample.pvalues)
     for i, mi in enumerate(sample.m_per_node):
         transcript.add(1, UP, i, CENTER, ("pvalues", int(mi)), PVALUE_BITS * int(mi))
-    r0, srt = _estimates([pooled], estimator, transcript, "pool")
+    r0, srt, notes = _estimates([pooled], estimator, "pool")
+    transcript.notes.extend(notes)
     srt = np.sort(pooled) if srt is None else srt[0]
     level = estimate_levels(r0, [sample.m], alpha).pooled_bh[0]
     k, tau = bh_threshold(srt[None], level)
-    idx = [np.flatnonzero(p <= tau[0]) for p in pvalues]  # none where tau = -inf
+    idx = [np.flatnonzero(p <= tau[0]) for p in sample.pvalues]  # none where tau = -inf
     tau = float(tau[0]) if k[0] else 0.0
     return _finish([RejectionOutcome(i, int(i.size), tau) for i in idx], sample, transcript)
 
@@ -261,8 +284,7 @@ def run_proportion_matching(
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript(rounds=1)
-    pvalues = _node_pvalues(sample)
-    r0, srt = _estimates(pvalues, estimator, transcript)
+    r0, srt = _node_estimates(sample, estimator, transcript)
     levels = estimate_levels(r0, sample.m_per_node, alpha, adaptive)
     m0 = levels.m0[0].tolist()
     for i, mi in enumerate(sample.m_per_node):
@@ -270,13 +292,13 @@ def run_proportion_matching(
     transcript.add(1, BCAST, CENTER, CENTER, (sample.m, sum(m0)), 2 * _bits_for_count(sample.m))
     if np.isnan(levels.prop_match).all():  # the counts sum to m: no signal anywhere
         transcript.notes.append("all nodes estimate every hypothesis null")
-    return _finish(_local_bh(pvalues, srt, levels.prop_match[0]), sample, transcript)
+    return _finish(_local_bh(sample.pvalues, srt, levels.prop_match[0]), sample, transcript)
 
 
 def _greedy_grid(sample: LabeledSample, epsilon: float, estimator, transcript: Transcript):
     """The protocol's estimate_grid, from the estimator run at each node as
     in the protocol; failures are noted in the transcript."""
-    r0 = _estimates(_node_pvalues(sample), estimator, transcript)[0][0]
+    r0 = _node_estimates(sample, estimator, transcript)[0][0]
     return estimate_grid(epsilon, sample.m_per_node, r0)
 
 
@@ -287,7 +309,7 @@ def _greedy_cells(sample: LabeledSample, epsilon: float, estimator, transcript: 
     node reports."""
     grid = _greedy_grid(sample, epsilon, estimator, transcript)
     nodes = []
-    for p, L, K in zip(_node_pvalues(sample), grid.lengths.tolist(), grid.counts.tolist()):
+    for p, L, K in zip(sample.pvalues, grid.lengths.tolist(), grid.counts.tolist()):
         j, counts, ranking = node_cells(p, L, K)
         nodes.append((j, ranking.tolist(), counts[ranking - 1].tolist() + [-1]))
     return nodes

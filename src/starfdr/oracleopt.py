@@ -10,7 +10,8 @@ import numpy as np
 from .distmodel import (GAUSSIAN, InteriorGrid, MixtureColumns, NetworkModel, NodeModel,
                         alt_cdf_pdf, alt_cdf_rows, superlevel_ends, superlevel_pieces)
 from .greedy import selection_asymptotics
-from .procedures import asymptotic_threshold, beta_slope, local_alpha, newton_crossing
+from .procedures import (_THRESHOLD_GRID, asymptotic_threshold, beta_slope, local_alpha,
+                         newton_crossing)
 
 _LEVEL_TOL = 1e-6  # absolute, on the level t in c_alpha_search
 # c_alpha_search tries t = 0 and doubles t from 1; when no level up to 2^39
@@ -234,9 +235,12 @@ def pooled_alt_cdf(net: NetworkModel, t):
 def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
     """Numerically measure per-node sup-distances to the pooled alternative
     CDF and the Lipschitz constant of that CDF on the bracketing interval
-    [min tau_i, max tau_i] of the per-node slope crossings.  At a bracket
-    from 0 the pooled density diverges (constant inf) if a node has signal
-    with a Gaussian shift mu > 0; densities are taken at interior points.
+    [min tau_i, max tau_i] of the per-node slope crossings, on _SUP_GRID
+    even points.  A bracket from 0 also takes the points of
+    procedures._THRESHOLD_GRID within its first step, where a Gaussian CDF
+    can rise steeply.  There the pooled density diverges (constant inf) if a
+    node has signal with a Gaussian shift mu > 0; densities are taken at
+    interior points.
     An all-null network (r0* = 1) raises ValueError, from beta_slope."""
     bs = beta_slope(alpha, net.r0_star)
     taus = _node_thresholds(net.nodes, np.full(len(net), bs))
@@ -245,6 +249,8 @@ def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
         lo = max(lo - 1e-3, 1e-6)
         hi = min(hi + 1e-3, 1.0 - 1e-6)
     ts = np.linspace(lo, hi, _SUP_GRID)
+    if lo == 0.0:
+        ts = np.concatenate([[0.0], _THRESHOLD_GRID[_THRESHOLD_GRID < ts[1]], ts[1:]])
     alts = [nd.alt for nd in net.nodes]
     # hi < 1, so only ts[0] = lo can fall outside (0, 1): at lo = 0, where F = 0
     skip = int(lo == 0.0)

@@ -232,6 +232,13 @@ class TestSampleTrial:
         assert np.array_equal(a.pvalues[0], b.pvalues[0])
         assert np.array_equal(a.null_labels[0], b.null_labels[0])
 
+    def test_zero_jitter_is_no_jitter(self):
+        net = sf.builtin_config("2c").instantiate(3)[0]
+        a = sf.sample_trial(net, (50, 40, 30, 20, 10), mean_jitter=0.0, seed=5)
+        b = sf.sample_trial(net, (50, 40, 30, 20, 10), mean_jitter=None, seed=5)
+        for x, y in zip(a.pvalues + a.null_labels, b.pvalues + b.null_labels):
+            assert x.tobytes() == y.tobytes()
+
     def test_rho_zero_matches_independent(self):
         dep = sf.DependenceSpec(sf.TAPERING_AR, 0.0)
         a = sf.sample_trial(NET1, (500,), dep, seed=5)
@@ -266,6 +273,42 @@ class TestSampleTrial:
         net = sf.NetworkModel([sf.NodeModel(1.0, 1.0, sf.cauchy_alt(3.0))])
         s = sf.sample_trial(net, (5000,), seed=8)
         assert stats.kstest(s.pvalues[0], "uniform").pvalue > 0.01
+
+
+class TestLabeledSample:
+    def test_built_from_lists(self):
+        s = sf.LabeledSample([[0.01, 0.5], [1]], [[False, True], [1]])
+        assert [p.dtype for p in s.pvalues] == [np.float64] * 2
+        assert [lab.dtype for lab in s.null_labels] == [np.bool_] * 2
+        assert s.m == 3 and s.m1 == 1 and s.m_per_node.tolist() == [2, 1]
+
+    def test_immutable(self):
+        p, labels = np.array([0.01, 0.5]), np.array([False, True])
+        s = sf.LabeledSample([p], [labels])
+        p[0], labels[0] = 0.9, True  # the sample holds its own copies
+        assert s.pvalues[0][0] == 0.01 and not s.null_labels[0][0]
+        with pytest.raises(ValueError):
+            s.pvalues[0][0] = 0.5
+        with pytest.raises(ValueError):
+            s.null_labels[0][0] = True
+        with pytest.raises(AttributeError):
+            s.pvalues = ()
+
+    def test_identity(self):
+        a = sf.LabeledSample([[0.1]], [[True]])
+        b = sf.LabeledSample([[0.1]], [[True]])
+        assert a == a and a != b and len({a, b}) == 2
+
+    @pytest.mark.parametrize("pvalues, labels", [
+        ([[0.1, 0.2]], []),  # node counts differ
+        ([[0.1, 0.2, 0.3]], [[True, False]]),  # lengths differ at a node
+        ([[0.1], [0.2, 0.3]], [[True], [True, False, True]]),
+        ([[[0.1, 0.2]]], [[[True, False]]]),  # not one row per node
+        ([0.1], [True]),
+    ])
+    def test_mismatch_rejected(self, pvalues, labels):
+        with pytest.raises(ValueError):
+            sf.LabeledSample(pvalues, labels)
 
 
 EPS, TOP = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg

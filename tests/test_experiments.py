@@ -114,7 +114,7 @@ class TestRunExperiment:
         for t in range(10):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, t]))
             net, sizes, dep, eps, jitter = cfg.instantiate(400)
-            s = sf.sample_trial(net, sizes, dep, mean_jitter=jitter or None, seed=rng)
+            s = sf.sample_trial(net, sizes, dep, mean_jitter=jitter, seed=rng)
             fdps.append(sf.run_no_comm(s, 0.2, cfg.estimator).metrics.fdp)
         assert row.fdr == pytest.approx(np.mean(fdps))
         assert row.fdr_se == pytest.approx(np.std(fdps, ddof=1) / np.sqrt(10))

@@ -412,17 +412,25 @@ def test_protocols_equal_estimate_then_bh(sample, estimator):
     assert [o.rejected.tolist() for o in replayed] == [o.rejected.tolist() for o in want.outcomes]
 
 
-def test_each_protocol_sorts_a_node_once(monkeypatch):
-    s = _edge_sample()
+def test_protocol_calls_on_a_sample_sort_each_node_once(monkeypatch):
+    """With the spacing estimator the first protocol call on a sample sorts
+    each node once, later calls on it sort nothing, pooled BH sorts its
+    pool on every call, and a fresh sample is sorted again."""
+    netsim._named_estimates.cache_clear()
+    s, fresh = _edge_sample(), _edge_sample()
     calls = []
     real_sort = np.sort
     monkeypatch.setattr(np, "sort", lambda *a, **kw: calls.append(1) or real_sort(*a, **kw))
     eps = sf.default_epsilon(0.2, s.m)
+    greedy_run = []
     runs = {
         "no_comm": (lambda: sf.run_no_comm(s, 0.2), s.n_nodes),
-        "prop_match": (lambda: sf.run_proportion_matching(s, 0.2), s.n_nodes),
+        "prop_match": (lambda: sf.run_proportion_matching(s, 0.2), 0),
         "pooled_bh": (lambda: sf.run_pooled_bh(s, 0.2), 1),
-        "greedy": (lambda: sf.run_greedy_aggregation(s, 0.2, eps), s.n_nodes),
+        "greedy": (lambda: greedy_run.append(sf.run_greedy_aggregation(s, 0.2, eps)), 0),
+        "replay": (lambda: sf.replay_greedy_transcript(greedy_run[0].transcript, s, eps), 0),
+        "batch": (lambda: sf.batch_equivalent_selection(s, 0.2, eps), 0),
+        "fresh_sample": (lambda: sf.run_proportion_matching(fresh, 0.2), fresh.n_nodes),
         # Storey reads no sorted copy, so only BH sorts: the three nodes whose
         # estimate is not 0, and no node for greedy
         "no_comm_storey": (lambda: sf.run_no_comm(s, 0.2, "storey"), 3),
@@ -432,6 +440,29 @@ def test_each_protocol_sorts_a_node_once(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == sorts, name
+
+
+def test_slot_serves_the_calls_of_one_op():
+    """A protocol benchmark op (no_comm, pooled BH, prop-match, greedy and
+    its replay on one sample) misses the slot once and hits it three
+    times; the next op, on another sample, misses again.  A callable
+    estimator and the pool never use the slot."""
+    netsim._named_estimates.cache_clear()
+    for seed in (30, 31):
+        s = _trial(seed=seed)
+        eps = sf.default_epsilon(0.2, s.m)
+        before = netsim._named_estimates.cache_info()
+        sf.run_no_comm(s, 0.2)
+        sf.run_pooled_bh(s, 0.2)
+        sf.run_proportion_matching(s, 0.2, adaptive=True)
+        res = sf.run_greedy_aggregation(s, 0.2, eps)
+        sf.replay_greedy_transcript(res.transcript, s, eps)
+        after = netsim._named_estimates.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (3, 1)
+    est = sf.make_estimator("spacing")
+    sf.run_no_comm(s, 0.2, est)
+    sf.run_greedy_aggregation(s, 0.2, eps, est)
+    assert netsim._named_estimates.cache_info() == after
 
 
 def test_callable_estimator_gets_unsorted_pvalues():

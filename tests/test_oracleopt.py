@@ -624,6 +624,22 @@ class TestAltHeterogeneityBounds:
         assert c == np.inf
         assert sf.alt_heterogeneity_bounds(net, 0.2, deltas, c) is None
 
+    def test_first_step_from_zero_is_resolved(self):
+        # the bracket is [0, 0.085], whose first linear step is 8.5e-6, and
+        # node 2's gap to the pooled CDF peaks near t = 7e-9, inside it
+        net = sf.NetworkModel([
+            sf.NodeModel(0.548, 0.56, sf.gaussian_alt(7.73)),
+            sf.NodeModel(0.331, 0.641, sf.cauchy_alt(-1.19)),
+            sf.NodeModel(0.121, 0.898, sf.gaussian_alt(3.44)),
+        ])
+        deltas, c = sf.measure_alt_heterogeneity(net, 0.2)
+        ts = np.geomspace(1e-12, 1e-6, 20_001)
+        rows = list(distmodel.alt_cdf_rows([nd.alt for nd in net.nodes], ts))
+        sup = float(np.max(np.abs(rows[2] - oracleopt._pooled(net, rows))))
+        assert sup == pytest.approx(0.6225, abs=1e-4)
+        assert deltas[2] == pytest.approx(sup, rel=1e-3)
+        assert c == np.inf and sf.alt_heterogeneity_bounds(net, 0.2, deltas, c) is None
+
     def test_one_quantile_per_grid(self, monkeypatch):
         # five Gaussian nodes, all crossings positive: the CDF and density
         # rows on the grid share one z = Q^{-1}(t)

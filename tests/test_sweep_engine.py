@@ -31,7 +31,7 @@ def _reference_records(config):
         acc = {mth: [] for mth in config.methods}
         for t in range(config.trials):
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, s_idx, t]))
-            s = sf.sample_trial(net, sizes, dep, mean_jitter=jitter or None, seed=rng)
+            s = sf.sample_trial(net, sizes, dep, mean_jitter=jitter, seed=rng)
             for mth in config.methods:
                 res = RUN[mth](s, config.alpha, eps, config.estimator)
                 ts = res.transcript
