@@ -400,7 +400,7 @@ class LabeledSample:
 
     @property
     def m1(self) -> int:
-        return int(sum(np.count_nonzero(~lab) for lab in self.null_labels))
+        return sum(lab.size - int(np.count_nonzero(lab)) for lab in self.null_labels)
 
 
 def _read_only(values, dtype) -> np.ndarray:

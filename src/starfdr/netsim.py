@@ -24,8 +24,8 @@ from .estimators import (
     storey_estimate,
 )
 from .greedy import (
+    CellDensity,
     IntervalSelection,
-    cell_densities,
     estimate_grid,
     greedy_select,
     node_cells,
@@ -161,15 +161,36 @@ def row_estimates(choice, est, rows, sorted_rows, i):
     return values, failures
 
 
-def _estimates(pvalues, estimator, name="node {}"):
-    """row_estimates of each node's p-values, as the (1, n) row
-    estimate_levels takes, NaN for a failed or zero estimate; the ascending
-    copies the estimator read: each array sorted once here for the spacing
-    estimator, None for any other; and a note for each failed or zero
-    estimate, under name.format(i).  Arrays come back read-only and the
-    notes as a tuple, so that one result can serve several calls."""
+def _sort_in_place(a: np.ndarray) -> np.ndarray:
+    """a sorted ascending in place, and returned.  Every sort of this
+    module goes through here: a caller that needs the original order sorts
+    a copy."""
+    a.sort()
+    return a
+
+
+@dataclass
+class _NodeWork:
+    """What protocol calls on one sample and estimator share: the (1, n)
+    row estimate_levels takes, NaN for a failed or zero estimate; the
+    ascending copies the estimator read (spacing only, else None); the
+    transcript notes of the estimates; and greedy's cells at the last
+    epsilon asked for, as (epsilon, cells) with cells as from
+    _greedy_cells, or None before any.  Arrays are read-only and notes a
+    tuple, so that one value can serve several calls."""
+
+    r0: np.ndarray
+    sorted_pvalues: tuple | None
+    notes: tuple
+    cells: tuple | None = None
+
+
+def _estimates(pvalues, sorted_pvalues, estimator, name="node {}") -> _NodeWork:
+    """row_estimates of each node's p-values, with a note for each failed
+    or zero estimate, under name.format(i).  sorted_pvalues holds the
+    arrays of pvalues sorted ascending, which the spacing estimator reads,
+    or None for any other estimator."""
     est = make_estimator(estimator)
-    sorted_pvalues = [np.sort(p) for p in pvalues] if estimator == "spacing" else None
     r0 = np.full((1, len(pvalues)), np.nan)
     notes = []
     for i, p in enumerate(pvalues):
@@ -184,29 +205,31 @@ def _estimates(pvalues, estimator, name="node {}"):
         for srt in sorted_pvalues:
             srt.flags.writeable = False
         sorted_pvalues = tuple(sorted_pvalues)
-    return usable, sorted_pvalues, tuple(notes)
+    return _NodeWork(usable, sorted_pvalues, tuple(notes))
 
 
 @functools.lru_cache(maxsize=1)
-def _named_estimates(sample: LabeledSample, estimator: str):
-    """_estimates of sample's nodes under a named estimator, kept for the
-    next call.  One slot: successive protocol calls on one sample (a run
-    and its replay, or each protocol in turn) share it, only the last
-    sample's sorted copies stay in memory, and the sample, immutable and
-    keyed by identity, cannot change under it."""
-    return _estimates(sample.pvalues, estimator)
+def _named_estimates(sample: LabeledSample, estimator: str) -> _NodeWork:
+    """_estimates of sample's nodes under a named estimator, each node
+    sorted once for spacing, kept for the next call.  One slot: successive
+    protocol calls on one sample (a run and its replay, or each protocol in
+    turn) share it, only the last sample's sorted copies and cells stay in
+    memory, and the sample, immutable and keyed by identity, cannot change
+    under it."""
+    srt = [_sort_in_place(p.copy()) for p in sample.pvalues] if estimator == "spacing" else None
+    return _estimates(sample.pvalues, srt, estimator)
 
 
-def _node_estimates(sample: LabeledSample, estimator, transcript: Transcript):
-    """_estimates of each node of sample, its notes added to transcript.
-    A named estimator's result comes from the slot of _named_estimates; a
-    callable estimator runs afresh on every call."""
+def _node_work(sample: LabeledSample, estimator, transcript: Transcript) -> _NodeWork:
+    """The _NodeWork of sample under estimator, its notes added to
+    transcript.  A named estimator's comes from the slot of
+    _named_estimates; a callable estimator runs afresh on every call."""
     if callable(estimator):
-        r0, srt, notes = _estimates(sample.pvalues, estimator)
+        work = _estimates(sample.pvalues, None, estimator)
     else:
-        r0, srt, notes = _named_estimates(sample, estimator)
-    transcript.notes.extend(notes)
-    return r0, srt
+        work = _named_estimates(sample, estimator)
+    transcript.notes.extend(work.notes)
+    return work
 
 
 def _local_bh(pvalues, sorted_pvalues, levels) -> list:
@@ -233,9 +256,9 @@ def run_no_comm(sample: LabeledSample, alpha: float, estimator="spacing") -> Pro
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript()
-    r0, srt = _node_estimates(sample, estimator, transcript)
-    levels = estimate_levels(r0, sample.m_per_node, alpha).no_comm[0]
-    return _finish(_local_bh(sample.pvalues, srt, levels), sample, transcript)
+    work = _node_work(sample, estimator, transcript)
+    levels = estimate_levels(work.r0, sample.m_per_node, alpha).no_comm[0]
+    return _finish(_local_bh(sample.pvalues, work.sorted_pvalues, levels), sample, transcript)
 
 
 def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> ProtocolResult:
@@ -251,10 +274,15 @@ def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> P
     pooled = np.concatenate(sample.pvalues)
     for i, mi in enumerate(sample.m_per_node):
         transcript.add(1, UP, i, CENTER, ("pvalues", int(mi)), PVALUE_BITS * int(mi))
-    r0, srt, notes = _estimates([pooled], estimator, "pool")
-    transcript.notes.extend(notes)
-    srt = np.sort(pooled) if srt is None else srt[0]
-    level = estimate_levels(r0, [sample.m], alpha).pooled_bh[0]
+    # the pool is this call's own array: spacing reads it sorted, so it is
+    # sorted in place; any other estimator reads it in concatenation order
+    # and BH sorts a copy
+    srt = _sort_in_place(pooled) if estimator == "spacing" else None
+    work = _estimates([pooled], None if srt is None else [srt], estimator, "pool")
+    transcript.notes.extend(work.notes)
+    if srt is None:
+        srt = _sort_in_place(pooled.copy())
+    level = estimate_levels(work.r0, [sample.m], alpha).pooled_bh[0]
     k, tau = bh_threshold(srt[None], level)
     idx = [np.flatnonzero(p <= tau[0]) for p in sample.pvalues]  # none where tau = -inf
     tau = float(tau[0]) if k[0] else 0.0
@@ -279,40 +307,48 @@ def run_proportion_matching(
     size.  With adaptive=True the target level is scaled to
     alpha / r0_star_hat (the configuration used in the experiment sweeps).
     A node whose estimate fails or is 0 sends m0 = m_i and rejects nothing,
-    with a transcript note.
+    with a transcript note; so does a node whose estimate rounds to
+    m0 = m_i, since an all-null node has no matched threshold.
     """
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript(rounds=1)
-    r0, srt = _node_estimates(sample, estimator, transcript)
-    levels = estimate_levels(r0, sample.m_per_node, alpha, adaptive)
+    work = _node_work(sample, estimator, transcript)
+    levels = estimate_levels(work.r0, sample.m_per_node, alpha, adaptive)
     m0 = levels.m0[0].tolist()
     for i, mi in enumerate(sample.m_per_node):
         transcript.add(1, UP, i, CENTER, (int(mi), m0[i]), 2 * _bits_for_count(int(mi)))
     transcript.add(1, BCAST, CENTER, CENTER, (sample.m, sum(m0)), 2 * _bits_for_count(sample.m))
     if np.isnan(levels.prop_match).all():  # the counts sum to m: no signal anywhere
         transcript.notes.append("all nodes estimate every hypothesis null")
-    return _finish(_local_bh(sample.pvalues, srt, levels.prop_match[0]), sample, transcript)
+    else:
+        for i in np.flatnonzero(~np.isnan(levels.r0[0]) & (levels.m0[0] == sample.m_per_node)):
+            transcript.notes.append(f"node {i}: estimates every hypothesis null, rejects nothing")
+    return _finish(_local_bh(sample.pvalues, work.sorted_pvalues, levels.prop_match[0]),
+                   sample, transcript)
 
 
-def _greedy_grid(sample: LabeledSample, epsilon: float, estimator, transcript: Transcript):
-    """The protocol's estimate_grid, from the estimator run at each node as
-    in the protocol; failures are noted in the transcript."""
-    r0 = _node_estimates(sample, estimator, transcript)[0][0]
-    return estimate_grid(epsilon, sample.m_per_node, r0)
-
-
-def _greedy_cells(sample: LabeledSample, epsilon: float, estimator, transcript: Transcript):
-    """Per node, what it reports on the _greedy_grid: (j, cells, counts)
-    with each p-value's cell j from node_cells, the cells 1..K in rank
-    order, and their counts in that order followed by the -1 an exhausted
-    node reports."""
-    grid = _greedy_grid(sample, epsilon, estimator, transcript)
+def _greedy_cells(sample: LabeledSample, epsilon: float, work: _NodeWork):
+    """Per node, what it reports on the protocol's estimate_grid from the
+    estimates in work: (j, cells, counts) with each p-value's cell j from
+    node_cells (a read-only array; None for a node without cells, which
+    has nothing to bin), the cells 1..K in rank order, and their counts in
+    that order followed by the -1 an exhausted node reports.  Kept in
+    work.cells for the next call at the same epsilon, so that a run, its
+    replay and batch selection bin each node once."""
+    if work.cells is not None and work.cells[0] == epsilon:
+        return work.cells[1]
+    grid = estimate_grid(epsilon, sample.m_per_node, work.r0[0])
     nodes = []
     for p, L, K in zip(sample.pvalues, grid.lengths.tolist(), grid.counts.tolist()):
+        if K == 0:
+            nodes.append((None, (), (-1,)))
+            continue
         j, counts, ranking = node_cells(p, L, K)
-        nodes.append((j, ranking.tolist(), counts[ranking - 1].tolist() + [-1]))
-    return nodes
+        j.flags.writeable = False
+        nodes.append((j, tuple(ranking.tolist()), tuple(counts[ranking - 1].tolist()) + (-1,)))
+    work.cells = (epsilon, tuple(nodes))
+    return work.cells[1]
 
 
 def run_greedy_aggregation(
@@ -346,7 +382,7 @@ def run_greedy_aggregation(
         transcript.add(0, UP, i, CENTER, (int(mi),), _bits_for_count(int(mi) + 1))
     transcript.add(0, BCAST, CENTER, CENTER, (m,), count_bits)
 
-    nodes = _greedy_cells(sample, epsilon, estimator, transcript)
+    nodes = _greedy_cells(sample, epsilon, _node_work(sample, estimator, transcript))
     cursor = [0] * n  # rank of the cell each node hands out next
     scale = epsilon * m
     selected = []  # (node, cell) in selection order
@@ -448,14 +484,15 @@ def replay_greedy_transcript(
 ):
     """Re-apply a greedy transcript's center decisions to the same sample.
 
-    The per-node cell rankings are recomputed deterministically.  Every UP
+    The per-node cell rankings are those the run used, read from the slot
+    for a named estimator and recomputed for a callable one.  Every UP
     message from round 1 on must carry the count the node reports next
     (-1 once exhausted), and each center->node grant rejects that node's
     next-best cell.  Raises ValueError, naming the node and round, on the
     first message the sample, epsilon and estimator do not reproduce.
     Returns the per-node RejectionOutcome list.
     """
-    nodes = _greedy_cells(sample, epsilon, estimator, Transcript())
+    nodes = _greedy_cells(sample, epsilon, _node_work(sample, estimator, Transcript()))
     cursor = [0] * len(nodes)
     selected = []
     for msg in transcript.messages:
@@ -478,7 +515,10 @@ def replay_greedy_transcript(
 
 
 def batch_equivalent_selection(sample: LabeledSample, alpha, epsilon, estimator="spacing"):
-    """Batch-form selection on the same estimates and grid the protocol
-    uses, binning each node once."""
-    grid = _greedy_grid(sample, epsilon, estimator, Transcript())
-    return greedy_select(cell_densities(grid, sample), alpha)
+    """Batch-form selection on the same estimates and cells the protocol
+    uses, with the densities of cell_densities."""
+    nodes = _greedy_cells(sample, epsilon, _node_work(sample, estimator, Transcript()))
+    scale = epsilon * sample.m
+    return greedy_select([CellDensity(i, cell, c, c / scale)
+                          for i, (_, cells, counts) in enumerate(nodes)
+                          for cell, c in zip(cells, counts)], alpha)

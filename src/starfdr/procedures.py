@@ -44,10 +44,14 @@ def bh_step_up(sorted_rows, levels) -> np.ndarray:
     if m == 0:
         return np.zeros(t, dtype=int)
     top = np.fmax.reduce(levels * m / m, initial=-np.inf)  # fmax skips NaN levels
-    c = int(np.searchsorted(np.fmin.reduce(rows, axis=0, initial=np.inf), top, "right"))
+    # one ascending row is its own column minima
+    minima = rows[0] if t == 1 else np.fmin.reduce(rows, axis=0, initial=np.inf)
+    c = int(np.searchsorted(minima, top, "right"))
     if c == 0:
         return np.zeros(t, dtype=int)
-    ok = rows[:, :c] <= levels[:, None] * np.arange(1, c + 1) / m
+    thresholds = levels[:, None] * np.arange(1, c + 1, dtype=float)
+    thresholds /= m
+    ok = rows[:, :c] <= thresholds
     return np.where(ok.any(axis=1), c - np.argmax(ok[:, ::-1], axis=1), 0)
 
 
@@ -154,9 +158,11 @@ def estimate_levels(estimates, sizes, alpha: float, adaptive: bool = False) -> L
     sees them, so one node's level is its target: the slope
     beta_slope(target, sum(m0) / m), with target alpha, or
     min(alpha / r0_star, 1) when adaptive, and the level
-    local_alpha(beta, m0_i / m_i).  An empty node gets a NaN level, and so
-    does every node of a row whose counts sum to m: all-null estimates
-    reject nothing.
+    local_alpha(beta, m0_i / m_i).  A node whose count is m0_i = m_i gets a
+    NaN level: its matched threshold is the crossing of its alternative CDF
+    with the line beta t, and an all-null node has none.  The rule covers a
+    failed estimate, which sends m0_i = m_i, an empty node, and every node
+    of a row whose counts sum to m.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -180,7 +186,7 @@ def estimate_levels(estimates, sizes, alpha: float, adaptive: bool = False) -> L
     beta = _slope(target, r0_star)
     r0_local = np.minimum(m0 / np.maximum(sizes, 1), R0_STAR_CLAMP)
     matched = np.minimum(_matched(beta[:, None], r0_local), 1.0)
-    matched[failed | (sizes == 0) | (m0_total >= m)[:, None]] = np.nan
+    matched[m0 >= sizes] = np.nan
     return Levels(r0, no_comm, pooled, m0, r0_star, beta, matched)
 
 
@@ -295,7 +301,7 @@ def confusion_metrics(outcomes, sample: LabeledSample):
             raise IndexError("rejected index out of range for node sample")
         R = int(idx.size)
         V = int(np.count_nonzero(labels[idx])) if R else 0
-        m1 = int(np.count_nonzero(~labels))
+        m1 = labels.size - int(np.count_nonzero(labels))
         per_node.append(_metrics(R, V, m1))
         R_tot += R
         V_tot += V

@@ -141,6 +141,23 @@ class TestProportionMatching:
             direct = sf.bh_procedure(s.pvalues[i], level)
             assert np.array_equal(out.rejected, direct.rejected)
 
+    def test_all_null_node_rejects_nothing(self):
+        """A node whose Storey estimate rounds to m0 = m_i rejects nothing,
+        with a note naming it.  Its matched level was once about 1, which
+        took this network's mean FDP at alpha = 0.2 to 0.303."""
+        net = sf.NetworkModel([sf.NodeModel(q, r0, sf.gaussian_alt(3.0))
+                               for q, r0 in ((0.4, 0.6), (0.4, 0.7), (0.2, 1.0))])
+        fdp, noted = [], 0
+        for seed in range(300):
+            s = sf.sample_trial(net, (1000, 1000, 500), seed=seed)
+            res = sf.run_proportion_matching(s, 0.2, "storey")
+            fdp.append(res.metrics.fdp)
+            if "node 2: estimates every hypothesis null, rejects nothing" in res.transcript.notes:
+                noted += 1
+                assert res.outcomes[2].k_hat == 0
+        assert noted > 0
+        assert np.mean(fdp) < 0.2
+
 
 class TestGreedyAggregation:
     def test_all_empty_cells(self):
@@ -375,9 +392,15 @@ def test_protocols_equal_estimate_then_bh(sample, estimator):
         ups = [f"1\tup\t{i}\t-1\t{mi},{c}\t{2 * _bits(mi)}"
                for i, (mi, c) in enumerate(zip(sizes, lv.m0[0]))]
         text = "\n".join(ups + [f"1\tbcast\t-1\t-1\t{m},{lv.m0[0].sum()}\t{2 * _bits(m)}"])
-        all_null = ["all nodes estimate every hypothesis null"] * int(np.isnan(lv.prop_match).all())
+        # the network-wide note when every count is m_i, else one per node
+        # whose usable estimate rounds to m_i
+        if np.isnan(lv.prop_match).all():
+            null_notes = ["all nodes estimate every hypothesis null"]
+        else:
+            null_notes = [f"node {i}: estimates every hypothesis null, rejects nothing"
+                          for i in np.flatnonzero(~np.isnan(lv.r0[0]) & (lv.m0[0] == sizes))]
         res = sf.run_proportion_matching(sample, alpha, estimator, adaptive)
-        _assert_same(res, outcomes, text, notes + all_null, sample)
+        _assert_same(res, outcomes, text, notes + null_notes, sample)
 
     pool = np.concatenate(sample.pvalues)
     r0, pool_notes = _composed_estimates([pool], estimator, "pool")
@@ -415,12 +438,15 @@ def test_protocols_equal_estimate_then_bh(sample, estimator):
 def test_protocol_calls_on_a_sample_sort_each_node_once(monkeypatch):
     """With the spacing estimator the first protocol call on a sample sorts
     each node once, later calls on it sort nothing, pooled BH sorts its
-    pool on every call, and a fresh sample is sorted again."""
+    pool on every call, and a fresh sample is sorted again.  A sort is a
+    call of np.sort (bh_procedure's) or of netsim._sort_in_place, through
+    which the protocol layer sorts."""
     netsim._named_estimates.cache_clear()
     s, fresh = _edge_sample(), _edge_sample()
     calls = []
-    real_sort = np.sort
+    real_sort, real_in_place = np.sort, netsim._sort_in_place
     monkeypatch.setattr(np, "sort", lambda *a, **kw: calls.append(1) or real_sort(*a, **kw))
+    monkeypatch.setattr(netsim, "_sort_in_place", lambda a: calls.append(1) or real_in_place(a))
     eps = sf.default_epsilon(0.2, s.m)
     greedy_run = []
     runs = {
@@ -445,8 +471,9 @@ def test_protocol_calls_on_a_sample_sort_each_node_once(monkeypatch):
 def test_slot_serves_the_calls_of_one_op():
     """A protocol benchmark op (no_comm, pooled BH, prop-match, greedy and
     its replay on one sample) misses the slot once and hits it three
-    times; the next op, on another sample, misses again.  A callable
-    estimator and the pool never use the slot."""
+    times; the next op, on another sample, misses again.  The slot then
+    holds the op's estimates and greedy's cells at its epsilon, one entry
+    per node.  A callable estimator and the pool never use the slot."""
     netsim._named_estimates.cache_clear()
     for seed in (30, 31):
         s = _trial(seed=seed)
@@ -459,10 +486,55 @@ def test_slot_serves_the_calls_of_one_op():
         sf.replay_greedy_transcript(res.transcript, s, eps)
         after = netsim._named_estimates.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (3, 1)
+        work = netsim._named_estimates(s, "spacing")  # one more hit, to read the slot
+        assert work.r0.shape == (1, s.n_nodes) and len(work.sorted_pvalues) == s.n_nodes
+        assert work.cells[0] == eps and len(work.cells[1]) == s.n_nodes
+    cells = work.cells
+    after = netsim._named_estimates.cache_info()
     est = sf.make_estimator("spacing")
     sf.run_no_comm(s, 0.2, est)
     sf.run_greedy_aggregation(s, 0.2, eps, est)
     assert netsim._named_estimates.cache_info() == after
+    assert work.cells is cells
+
+
+def _count_binning(monkeypatch):
+    """A list that gains an item on every greedy.row_cells call."""
+    calls = []
+    real = greedy.row_cells
+    monkeypatch.setattr(greedy, "row_cells", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_greedy_bins_each_node_once_for_its_replay_and_batch(monkeypatch):
+    """A greedy run bins each node with cells once; its replay and batch
+    selection on the same sample and epsilon bin nothing.  A new epsilon,
+    a new sample or a callable estimator bins again, and the cached cell
+    arrays are read-only."""
+    netsim._named_estimates.cache_clear()
+    s, other = _edge_sample(), _edge_sample()
+    eps = sf.default_epsilon(0.2, s.m)
+    K = greedy.estimate_grid(eps, s.m_per_node, netsim._named_estimates(s, "spacing").r0[0]).counts
+    with_cells = np.count_nonzero(K)
+    assert 0 < with_cells < s.n_nodes  # the tied and m = 2 nodes have no cells
+    calls = _count_binning(monkeypatch)
+    res = sf.run_greedy_aggregation(s, 0.2, eps)
+    assert len(calls) == with_cells
+    j = netsim._named_estimates(s, "spacing").cells[1][0][0]
+    with pytest.raises(ValueError, match="read-only"):
+        j[0] = 0
+    calls.clear()
+    sf.replay_greedy_transcript(res.transcript, s, eps)
+    sf.batch_equivalent_selection(s, 0.2, eps)
+    sf.run_greedy_aggregation(s, 0.2, eps)
+    assert calls == []
+    for run in (lambda: sf.run_greedy_aggregation(s, 0.2, eps / 2),
+                lambda: sf.run_greedy_aggregation(other, 0.2, eps),
+                lambda: sf.run_greedy_aggregation(s, 0.2, eps, sf.make_estimator("spacing")),
+                lambda: sf.run_greedy_aggregation(s, 0.2, eps, sf.make_estimator("spacing"))):
+        calls.clear()
+        run()
+        assert len(calls) == with_cells
 
 
 def test_callable_estimator_gets_unsorted_pvalues():
@@ -490,13 +562,15 @@ def test_callable_estimator_gets_unsorted_pvalues():
                          ids=["edge_nodes", "all_zero_storey"])
 @pytest.mark.parametrize("estimator", _ESTIMATORS, ids=["spacing", "storey", "oracle", "callable"])
 def test_batch_selection_bins_once(sample, estimator, monkeypatch):
-    """batch_equivalent_selection returns the protocol's IntervalSelection
-    and bins each node with cells once."""
+    """batch_equivalent_selection returns the protocol's IntervalSelection.
+    After the run it bins each node with cells once under a callable
+    estimator, and nothing under a named one, whose cells the slot keeps."""
     eps = sf.default_epsilon(0.2, sample.m)
     want = sf.run_greedy_aggregation(sample, 0.2, eps, estimator).selection
-    grid = netsim._greedy_grid(sample, eps, estimator, netsim.Transcript())
-    calls = []
-    real = greedy.row_cells
-    monkeypatch.setattr(greedy, "row_cells", lambda *a: calls.append(1) or real(*a))
+    r0 = netsim._node_work(sample, estimator, netsim.Transcript()).r0[0]
+    grid = greedy.estimate_grid(eps, sample.m_per_node, r0)
+    calls = _count_binning(monkeypatch)
     assert sf.batch_equivalent_selection(sample, 0.2, eps, estimator) == want
-    assert len(calls) == np.count_nonzero(grid.counts)
+    assert len(calls) == (np.count_nonzero(grid.counts) if callable(estimator) else 0)
+    # against the batch selector on cell_densities, which bins afresh
+    assert sf.greedy_select(sf.cell_densities(grid, sample), 0.2) == want

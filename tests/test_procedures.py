@@ -67,10 +67,10 @@ def _step_up_full(rows, levels):
 
 
 @st.composite
-def _step_up_inputs(draw):
+def _step_up_inputs(draw, t=st.integers(1, 4)):
     """(t, m) ascending rows with ties, p = 0 and 1 and values exactly at
     some row's level*k/m, and (t,) levels mixing NaN and (0, 1]."""
-    t, m = draw(st.integers(1, 4)), draw(st.integers(0, 30))
+    t, m = draw(t), draw(st.integers(0, 30))
     levels = draw(st.lists(st.one_of(st.just(math.nan), st.floats(0.001, 1.0)),
                            min_size=t, max_size=t))
     finite = [level for level in levels if not math.isnan(level)] or [0.2]
@@ -96,6 +96,34 @@ def test_step_up_prefix_matches_full_formula(inputs):
     k = procedures.bh_step_up(rows, levels)
     assert k.shape == (rows.shape[0],)
     assert k.tolist() == _step_up_full(rows, levels)
+
+
+def _step_up_column_minima(rows, levels):
+    """bh_step_up as it was before its one-row path: the prefix length c
+    from the column minima of every row, one row included."""
+    t, m = rows.shape
+    if m == 0:
+        return [0] * t
+    top = np.fmax.reduce(levels * m / m, initial=-np.inf)
+    c = int(np.searchsorted(np.fmin.reduce(rows, axis=0, initial=np.inf), top, "right"))
+    if c == 0:
+        return [0] * t
+    ok = rows[:, :c] <= levels[:, None] * np.arange(1, c + 1) / m
+    return np.where(ok.any(axis=1), c - np.argmax(ok[:, ::-1], axis=1), 0).tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=_step_up_inputs(t=st.just(1)))
+@example(inputs=(np.empty((1, 0)), np.array([0.2])))  # m = 0
+@example(inputs=(np.array([[0.5, 0.7, 0.9]]), np.array([0.2])))  # c = 0
+@example(inputs=(np.array([[0.0, 0.0, 1.0]]), np.array([math.nan])))
+@example(inputs=(np.array([[0.0, 0.3, 0.3, 1.0]]), np.array([1.0])))
+@example(inputs=(np.array([[0.1, 0.1, 0.1, 1.0]]), np.array([0.4])))
+def test_one_row_step_up_matches_column_minima_formula(inputs):
+    """A single row is its own column minima, so the one-row path gives the
+    k of the formula that reduced over columns."""
+    rows, levels = inputs
+    assert procedures.bh_step_up(rows, levels).tolist() == _step_up_column_minima(rows, levels)
 
 
 class TestAdaptiveBH:
@@ -226,8 +254,10 @@ class TestCalibrationMath:
 
 def _scalar_levels(r0s, sizes, alpha, adaptive):
     """The per-node formulas of run_no_comm, run_pooled_bh and
-    run_proportion_matching before they shared estimate_levels:
-    (no_comm, pooled_bh, m0, prop_match) for one trial."""
+    run_proportion_matching before they shared estimate_levels, with
+    proportion matching's all-null node rule: a node whose count m0_i is
+    m_i rejects nothing.  (no_comm, pooled_bh, m0, prop_match) for one
+    trial."""
     failed = [math.isnan(r) or r == 0.0 for r in r0s]
     no_comm = [math.nan if f else min(alpha / r, 1.0) for f, r in zip(failed, r0s)]
     pooled = [min(alpha / (1.0 if f else r), 1.0) for f, r in zip(failed, r0s)]
@@ -242,9 +272,9 @@ def _scalar_levels(r0s, sizes, alpha, adaptive):
         target = min(alpha / r0_star, 1.0) if r0_star > 0.0 else 1.0
     beta = max(sf.beta_slope(target, r0_star) if target < 1.0 else 1.0, 1.0)
     matched = [
-        math.nan if f or mi == 0
+        math.nan if c >= mi
         else min(sf.local_alpha(beta, min(c / mi, procedures.R0_STAR_CLAMP)), 1.0)
-        for f, c, mi in zip(failed, m0, sizes)
+        for c, mi in zip(m0, sizes)
     ]
     return no_comm, pooled, m0, matched
 
@@ -286,6 +316,7 @@ class TestEstimateLevels:
                 for w, g in zip(want, got):
                     np.testing.assert_array_equal(g, np.array(w, dtype=g.dtype))
                 failed = np.isnan(row) | (row == 0.0)
+                assert np.isnan(full.prop_match[r][failed | (full.m0[r] == sizes)]).all()
                 if failed.all() or (full.m0[r] == sizes).all():
                     assert np.isnan(full.prop_match[r]).all()
                 if failed.all():

@@ -30,7 +30,8 @@ _ENTRIES = ("no_comm", "pooled_bh", "prop_match", "greedy", "replay", "batch")
 # rejections at node 2 for each entry point in _ENTRIES order (batch: node
 # 2's selected cells); a node the estimator cannot estimate (fully tied,
 # m_i <= 2 for spacing, an estimate of 0 for Storey, empty) rejects nothing
-# except through pooled BH, which estimates the pool
+# except through pooled BH, which estimates the pool; so does a node whose
+# estimate is 1 under prop-match
 _EXPECTED = {
     ("p_zero", "spacing"): (18, 18, 17, 19, 19, 1),
     ("p_zero", "storey"): (18, 18, 16, 19, 19, 1),
@@ -41,9 +42,10 @@ _EXPECTED = {
     ("m_1", "spacing"): (0, 1, 0, 0, 0, 0),
     ("m_1", "storey"): (0, 1, 0, 0, 0, 0),
     ("m_2", "spacing"): (0, 1, 0, 0, 0, 0),
-    # Storey estimates r0 = 1 here, which prop-match matches to a level of
-    # about 1, so BH rejects both p-values, 0.8 too
-    ("m_2", "storey"): (1, 1, 2, 0, 0, 0),
+    # Storey estimates r0 = 1 here: prop-match gives a node whose count is
+    # m_i no level, so it rejects nothing (the matched level of about 1
+    # once rejected both p-values, 0.8 too)
+    ("m_2", "storey"): (1, 1, 0, 0, 0, 0),
     ("empty", "spacing"): (0, 0, 0, 0, 0, 0),
     ("empty", "storey"): (0, 0, 0, 0, 0, 0),
     ("lists", "spacing"): (2, 2, 2, 0, 0, 0),
