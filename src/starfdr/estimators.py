@@ -13,6 +13,9 @@ ORACLE = "oracle"
 
 DEFAULT_STOREY_LAMBDA = 0.5
 
+# elements in spacing_values' difference buffer
+_SPACING_CHUNK = 2**15
+
 
 class DegenerateSpacingError(ValueError):
     """All relevant order-statistic spacings collapsed to zero (tied sample)."""
@@ -59,7 +62,16 @@ def spacing_values(sorted_rows, s: int) -> np.ndarray:
         raise ValueError("spacing parameter must be a positive integer")
     if m < 2 * s + 1:
         raise ValueError(f"need at least {2 * s + 1} p-values for s={s} (got {m})")
-    z = np.max(rows[:, 2 * s:] - rows[:, : m - 2 * s], axis=1)
+    # the spacings are taken a chunk of columns at a time into one buffer
+    # of at most _SPACING_CHUNK elements, keeping each row's running maximum
+    t, width = len(rows), m - 2 * s
+    step = max(1, min(width, _SPACING_CHUNK // max(t, 1)))
+    buf = np.empty((t, step))
+    z = np.full(t, -np.inf)
+    for j in range(0, width, step):
+        w = min(step, width - j)
+        np.subtract(rows[:, 2 * s + j: 2 * s + j + w], rows[:, j: j + w], out=buf[:, :w])
+        np.maximum(z, buf[:, :w].max(axis=1), out=z)
     with np.errstate(over="ignore"):  # 2s / (m Z) is inf for a subnormal Z
         return np.minimum(2.0 * s / (m * np.where(z == 0.0, np.nan, z)), 1.0)
 

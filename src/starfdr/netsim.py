@@ -173,7 +173,8 @@ def _sort_in_place(a: np.ndarray) -> np.ndarray:
 class _NodeWork:
     """What protocol calls on one sample and estimator share: the (1, n)
     row estimate_levels takes, NaN for a failed or zero estimate; the
-    ascending copies the estimator read (spacing only, else None); the
+    ascending copies of the nodes' p-values, which spacing and BH read
+    (None for a callable estimator, whose BH sorts each node); the
     transcript notes of the estimates; and greedy's cells at the last
     epsilon asked for, as (epsilon, cells) with cells as from
     _greedy_cells, or None before any.  Arrays are read-only and notes a
@@ -189,7 +190,7 @@ def _estimates(pvalues, sorted_pvalues, estimator, name="node {}") -> _NodeWork:
     """row_estimates of each node's p-values, with a note for each failed
     or zero estimate, under name.format(i).  sorted_pvalues holds the
     arrays of pvalues sorted ascending, which the spacing estimator reads,
-    or None for any other estimator."""
+    or None; any other estimator reads pvalues as they are."""
     est = make_estimator(estimator)
     r0 = np.full((1, len(pvalues)), np.nan)
     notes = []
@@ -211,13 +212,12 @@ def _estimates(pvalues, sorted_pvalues, estimator, name="node {}") -> _NodeWork:
 @functools.lru_cache(maxsize=1)
 def _named_estimates(sample: LabeledSample, estimator: str) -> _NodeWork:
     """_estimates of sample's nodes under a named estimator, each node
-    sorted once for spacing, kept for the next call.  One slot: successive
-    protocol calls on one sample (a run and its replay, or each protocol in
-    turn) share it, only the last sample's sorted copies and cells stay in
-    memory, and the sample, immutable and keyed by identity, cannot change
-    under it."""
-    srt = [_sort_in_place(p.copy()) for p in sample.pvalues] if estimator == "spacing" else None
-    return _estimates(sample.pvalues, srt, estimator)
+    sorted once, for BH and for spacing, kept for the next call.  One slot:
+    successive protocol calls on one sample (a run and its replay, or each
+    protocol in turn) share it, only the last sample's sorted copies and
+    cells stay in memory, and the sample, immutable and keyed by identity,
+    cannot change under it."""
+    return _estimates(sample.pvalues, [_sort_in_place(p.copy()) for p in sample.pvalues], estimator)
 
 
 def _node_work(sample: LabeledSample, estimator, transcript: Transcript) -> _NodeWork:
@@ -234,8 +234,8 @@ def _node_work(sample: LabeledSample, estimator, transcript: Transcript) -> _Nod
 
 def _local_bh(pvalues, sorted_pvalues, levels) -> list:
     """Per-node outcomes of BH at each node's level; a NaN level rejects
-    nothing.  BH reads the sorted copies the estimate read, or sorts each
-    node itself when the estimate read none (sorted_pvalues is None)."""
+    nothing.  BH reads the slot's sorted copies, or sorts each node itself
+    under a callable estimator (sorted_pvalues is None)."""
     if sorted_pvalues is not None:
         return [sorted_bh(*node) for node in zip(pvalues, sorted_pvalues, levels)]
     return [

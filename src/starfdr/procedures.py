@@ -28,15 +28,27 @@ def _empty_outcome() -> RejectionOutcome:
     return RejectionOutcome(np.empty(0, dtype=int), 0, 0.0)
 
 
+# ranks per block of bh_step_up's screen: the rank-by-rank comparison covers
+# only the blocks the screen cannot settle
+_STEP_UP_BLOCK = 64
+
+
 def bh_step_up(sorted_rows, levels) -> np.ndarray:
     """Row-wise step-up count of BH on rows of ascending p-values.
 
     Per row, the largest k with P_(k) <= level*k/m, or 0 when there is none
     (always 0 for a NaN level).  sorted_rows is (t, m) and levels (t,).
 
-    Only a prefix of the rows is compared: level*k/m is nondecreasing in k,
+    Only a prefix of the rows can pass: level*k/m is nondecreasing in k,
     and so are the column minima of ascending rows, so no k beyond the count
-    c of column minima at or below the largest level*m/m can pass.
+    c of column minima at or below the largest level*m/m passes.  That
+    prefix is screened by blocks of ranks, each against the threshold of its
+    last rank.  A block whose last p-value is at or below it passes at its
+    last rank, so k reaches the block's end; a block whose first p-value is
+    above it holds no passing rank, as every p-value of the block is at
+    least that one and every threshold of the block at most that one.  Only
+    the ranks between the lowest row's highest passing end and the highest
+    end of a block that may pass are compared one by one.
     """
     rows = np.asarray(sorted_rows, dtype=float)
     levels = np.asarray(levels, dtype=float)
@@ -49,10 +61,21 @@ def bh_step_up(sorted_rows, levels) -> np.ndarray:
     c = int(np.searchsorted(minima, top, "right"))
     if c == 0:
         return np.zeros(t, dtype=int)
-    thresholds = levels[:, None] * np.arange(1, c + 1, dtype=float)
+    ends = np.minimum(np.arange(_STEP_UP_BLOCK, c + _STEP_UP_BLOCK, _STEP_UP_BLOCK), c)
+    bounds = levels[:, None] * ends.astype(float)
+    bounds /= m  # the threshold of each block's last rank, as below
+    sure = np.where(rows[:, ends - 1] <= bounds, ends, 0).max(axis=1)
+    may = np.where(rows[:, :c:_STEP_UP_BLOCK] <= bounds, ends, 0).max(axis=1)
+    hi = int(may.max())
+    # a row with no block that may pass, a NaN level's among them, passes
+    # nowhere, so it does not pull the window's start down to 0
+    lo = int(sure.min(where=may > 0, initial=hi))
+    if lo == hi:
+        return sure
+    thresholds = levels[:, None] * np.arange(lo + 1, hi + 1, dtype=float)
     thresholds /= m
-    ok = rows[:, :c] <= thresholds
-    return np.where(ok.any(axis=1), c - np.argmax(ok[:, ::-1], axis=1), 0)
+    ok = rows[:, lo:hi] <= thresholds
+    return np.maximum(sure, np.where(ok.any(axis=1), hi - np.argmax(ok[:, ::-1], axis=1), 0))
 
 
 def bh_threshold(sorted_rows, levels):

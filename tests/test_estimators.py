@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starfdr as sf
+from starfdr import estimators
 from starfdr.estimators import DegenerateSpacingError
 
 
@@ -130,3 +131,48 @@ def test_permutation_invariance(p, seed):
         return
     assert a == sf.spacing_estimate(perm, 1).value
     assert 0.0 <= a <= 1.0
+
+
+def _spacing_one_shot(rows, s):
+    """spacing_values as it was before it ran in chunks: every spacing of
+    every row in one difference array."""
+    m = rows.shape[1]
+    z = np.max(rows[:, 2 * s:] - rows[:, : m - 2 * s], axis=1)
+    with np.errstate(over="ignore"):
+        return np.minimum(2.0 * s / (m * np.where(z == 0.0, np.nan, z)), 1.0)
+
+
+@st.composite
+def _spacing_inputs(draw):
+    """(t, m) ascending rows and s: rows a few spacings wide or a few columns
+    either side of a multiple of the chunk width, each row uniform, with
+    ties and p at 0 and 1, fully tied (NaN) or with a subnormal Z (1)."""
+    t, s = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    step = estimators._SPACING_CHUNK // t
+    width = draw(st.one_of(
+        st.integers(1, 200),
+        st.builds(lambda j, d: j * step + d, st.integers(1, 3), st.integers(-2, 2)),
+    ))
+    m = width + 2 * s
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.empty((t, m))
+    for r in range(t):
+        kind = draw(st.sampled_from(["uniform", "ties", "tied", "subnormal"]))
+        if kind == "uniform":
+            rows[r] = rng.uniform(size=m) ** draw(st.sampled_from([1, 4]))
+        elif kind == "ties":
+            rows[r] = rng.integers(0, 5, m) / 4
+        elif kind == "tied":
+            rows[r] = draw(st.sampled_from([0.0, 0.4, 1.0]))
+        else:
+            rows[r] = rng.integers(0, 3, m) * 5e-324
+    return np.sort(rows, axis=1), s
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_spacing_inputs())
+def test_chunked_spacing_matches_one_shot(inputs):
+    """The chunked running maximum gives the one-shot values bit for bit."""
+    rows, s = inputs
+    values = estimators.spacing_values(rows, s)
+    assert values.tobytes() == _spacing_one_shot(rows, s).tobytes()

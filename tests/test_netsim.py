@@ -436,7 +436,7 @@ def test_protocols_equal_estimate_then_bh(sample, estimator):
 
 
 def test_protocol_calls_on_a_sample_sort_each_node_once(monkeypatch):
-    """With the spacing estimator the first protocol call on a sample sorts
+    """Under a named estimator the first protocol call on a sample sorts
     each node once, later calls on it sort nothing, pooled BH sorts its
     pool on every call, and a fresh sample is sorted again.  A sort is a
     call of np.sort (bh_procedure's) or of netsim._sort_in_place, through
@@ -457,9 +457,12 @@ def test_protocol_calls_on_a_sample_sort_each_node_once(monkeypatch):
         "replay": (lambda: sf.replay_greedy_transcript(greedy_run[0].transcript, s, eps), 0),
         "batch": (lambda: sf.batch_equivalent_selection(s, 0.2, eps), 0),
         "fresh_sample": (lambda: sf.run_proportion_matching(fresh, 0.2), fresh.n_nodes),
-        # Storey reads no sorted copy, so only BH sorts: the three nodes whose
-        # estimate is not 0, and no node for greedy
-        "no_comm_storey": (lambda: sf.run_no_comm(s, 0.2, "storey"), 3),
+        # Storey reads each node unsorted, but the slot keeps the ascending
+        # copies BH reads: the first Storey call sorts every node, later ones
+        # none
+        "no_comm_storey": (lambda: sf.run_no_comm(s, 0.2, "storey"), s.n_nodes),
+        "prop_match_storey": (lambda: sf.run_proportion_matching(s, 0.2, "storey"), 0),
+        "no_comm_storey_again": (lambda: sf.run_no_comm(s, 0.2, "storey"), 0),
         "greedy_storey": (lambda: sf.run_greedy_aggregation(s, 0.2, eps, "storey"), 0),
     }
     for name, (run, sorts) in runs.items():

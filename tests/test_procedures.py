@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starfdr as sf
-from starfdr import procedures
+from starfdr import estimators, procedures
 
 
 def bh_brute_force(pvalues, alpha):
@@ -99,8 +100,9 @@ def test_step_up_prefix_matches_full_formula(inputs):
 
 
 def _step_up_column_minima(rows, levels):
-    """bh_step_up as it was before its one-row path: the prefix length c
-    from the column minima of every row, one row included."""
+    """bh_step_up as it was before its one-row path and its block screen:
+    the prefix length c from the column minima of every row, one row
+    included, and every rank of the prefix compared at once."""
     t, m = rows.shape
     if m == 0:
         return [0] * t
@@ -124,6 +126,87 @@ def test_one_row_step_up_matches_column_minima_formula(inputs):
     k of the formula that reduced over columns."""
     rows, levels = inputs
     assert procedures.bh_step_up(rows, levels).tolist() == _step_up_column_minima(rows, levels)
+
+
+_B = procedures._STEP_UP_BLOCK
+
+
+@st.composite
+def _screened_inputs(draw):
+    """(t, m) ascending rows a few step-up blocks long and (t,) levels mixing
+    NaN, 1 and (0, 1).  Each row runs under its line level*k/m up to its
+    own drawn rank and over it after, so rows cross in different blocks;
+    ties, p at 0 and 1 and values exactly on the line or one ulp above it
+    are mixed in."""
+    t = draw(st.integers(1, 4))
+    m = draw(st.one_of(st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B + 1]),
+                       st.integers(0, 5 * _B)))
+    levels = np.array(draw(st.lists(st.one_of(st.just(math.nan), st.just(1.0),
+                                              st.floats(0.001, 1.0)),
+                                    min_size=t, max_size=t)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.arange(1, m + 1)
+    rows = np.empty((t, m))
+    for r, level in enumerate(levels):
+        line = (0.3 if math.isnan(level) else level) * k / m
+        cross = draw(st.integers(0, m))
+        factor = np.where(k <= cross, rng.uniform(0.0, 1.0, m), rng.uniform(1.0, 3.0, m))
+        row = np.minimum(line * factor, 1.0)
+        special = rng.random(m) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+        row[special] = rng.choice([0.0, 1.0, *line, *np.nextafter(line, 1.0)], special.sum())
+        ties = rng.random(m) < draw(st.sampled_from([0.0, 0.2]))
+        row[1:][ties[1:]] = row[:-1][ties[1:]]
+        rows[r] = row
+    return np.sort(rows, axis=1), levels
+
+
+def _on_line(level, m, c, tail):
+    """One row of m p-values: the first c exactly on level*k/m, the rest tail."""
+    k = np.arange(1, m + 1)
+    return np.where(k <= c, level * k / m, tail)
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=_screened_inputs())
+@example(inputs=(np.empty((2, 0)), np.array([0.2, 1.0])))  # m = 0
+# prefixes c = B - 1, B and B + 1, one row passing at c and one nowhere
+@example(inputs=(np.array([_on_line(0.5, 3 * _B, _B - 1, 0.9)]), np.array([0.5])))
+@example(inputs=(np.array([_on_line(0.5, 3 * _B, _B, 0.9)]), np.array([0.5])))
+@example(inputs=(np.array([_on_line(0.5, 3 * _B, _B + 1, 0.9)]), np.array([0.5])))
+@example(inputs=(np.array([_on_line(0.5, 3 * _B, _B + 1, 0.9),
+                           np.full(3 * _B, 0.6)]), np.array([0.5, 0.5])))
+# a NaN-level row and a row that passes nowhere beside rows crossing late
+@example(inputs=(np.array([_on_line(0.5, 4 * _B, 3 * _B + 5, 0.9),
+                           np.zeros(4 * _B),
+                           _on_line(0.5, 4 * _B, 2 * _B, 0.95),
+                           np.full(4 * _B, 0.95)]),
+                 np.array([0.5, math.nan, 0.5, 0.5])))
+@example(inputs=(np.array([np.full(3 * _B, 0.0), np.full(3 * _B, 1.0)]),
+                 np.array([1.0, 1.0])))
+def test_screened_step_up_matches_full_prefix(inputs):
+    """The block screen gives the k of comparing every rank of the prefix."""
+    rows, levels = inputs
+    k = procedures.bh_step_up(rows, levels)
+    assert k.shape == (rows.shape[0],)
+    assert k.tolist() == _step_up_column_minima(rows, levels)
+
+
+def test_sorted_row_kernels_allocate_no_full_length_temporary():
+    """On one sorted row of 300,000 p-values (2.3 MiB), neither the step-up
+    at level 0.5 (a prefix of about 150,000 ranks) nor the max-spacing
+    estimate allocates as much as a quarter of the row at once."""
+    row = np.sort(np.random.default_rng(0).uniform(size=300_000))[None]
+    assert 140_000 < np.searchsorted(row[0], 0.5) < 160_000
+    s = sf.default_spacing_schedule(row.size)
+    for kernel in (lambda: procedures.bh_step_up(row, np.array([0.5])),
+                   lambda: estimators.spacing_values(row, s)):
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < row.nbytes / 4
 
 
 class TestAdaptiveBH:
