@@ -438,8 +438,9 @@ def sample_rows(net: NetworkModel, sizes, dep: DependenceSpec, mean_jitter, rngs
     mu = np.tile([node.alt.mu for node in net.nodes], (t, 1))
     for r, rng in enumerate(rngs):
         for i, c in enumerate(cols):
-            if mean_jitter:
-                mu[r, i] = rng.uniform(mu[r, i] - mean_jitter, mu[r, i] + mean_jitter)
+            if mean_jitter:  # rng.uniform(lo, hi)'s formula and double, without its call
+                lo, hi = mu[r, i] - mean_jitter, mu[r, i] + mean_jitter
+                mu[r, i] = lo + (hi - lo) * rng.random()
             rng.random(out=U[r, c])
             rng.standard_normal(out=P[r, c])
 
@@ -474,12 +475,26 @@ def sample_rows(net: NetworkModel, sizes, dep: DependenceSpec, mean_jitter, rngs
 
 
 def _ar1_rows(eps: np.ndarray, rho: float) -> np.ndarray:
-    """Stationary AR(1) rows with unit marginals and corr rho^|i-j|."""
-    from scipy.signal import lfilter  # here: it is most of the package's import time
+    """Stationary AR(1) rows with unit marginals and corr rho^|i-j|.
+
+    The recursion y_j = x_j + rho * y_(j-1) is a unit lower-bidiagonal
+    solve, which LAPACK's dgtsv does in place on the rows as right-hand
+    sides.  For 0 < rho < 1 it is exact, the same bits as
+    lfilter([1], [1, -rho]): it never pivots (|1| > rho), its multiplier
+    is exactly -rho and its diagonal stays 1 (the superdiagonal is 0), so
+    its forward sweep rounds rho * y and then x + rho * y, as the filter
+    does, and its back substitution divides by 1 and subtracts 0 * y.
+    """
+    from scipy.linalg.lapack import dgtsv  # here: only AR(1) draws load scipy.linalg
 
     x = eps * math.sqrt(1.0 - rho * rho)
     x[:, 0] = eps[:, 0]
-    return lfilter([1.0], [1.0, -rho], x, axis=1)
+    m = x.shape[1]
+    if m < 2:  # AR(1) over one value is the identity, and dgtsv needs two
+        return x
+    _, _, _, y, _ = dgtsv(np.full(m - 1, -rho), np.ones(m), np.zeros(m - 1), x.T,
+                          overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True)
+    return y.T  # x itself: x.T is Fortran-ordered, so dgtsv solves in place
 
 
 def sample_trial(

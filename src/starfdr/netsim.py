@@ -274,10 +274,11 @@ def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> P
     pooled = np.concatenate(sample.pvalues)
     for i, mi in enumerate(sample.m_per_node):
         transcript.add(1, UP, i, CENTER, ("pvalues", int(mi)), PVALUE_BITS * int(mi))
-    # the pool is this call's own array: spacing reads it sorted, so it is
-    # sorted in place; any other estimator reads it in concatenation order
-    # and BH sorts a copy
-    srt = _sort_in_place(pooled) if estimator == "spacing" else None
+    # the pool is this call's own array: a named estimator reads it sorted
+    # (Storey's count of p > lambda does not depend on the order), so it is
+    # sorted in place; a callable reads it in concatenation order and BH
+    # sorts a copy
+    srt = None if callable(estimator) else _sort_in_place(pooled)
     work = _estimates([pooled], None if srt is None else [srt], estimator, "pool")
     transcript.notes.extend(work.notes)
     if srt is None:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +12,8 @@ from scipy import integrate, signal, special, stats
 import starfdr as sf
 from starfdr import distmodel
 from starfdr.distmodel import sample_rows
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 ALTS = [
     sf.gaussian_alt(0.5),
@@ -255,6 +262,22 @@ class TestSampleTrial:
         rho_hat = np.dot(x[1:], x[:-1]) / np.dot(x, x)
         assert rho_hat == pytest.approx(0.9, abs=0.03)
 
+    def test_ar_draw_loads_no_scipy_signal(self):
+        """In a fresh interpreter, import starfdr loads neither scipy.signal
+        nor scipy.linalg, and an AR(1) draw loads scipy.linalg alone."""
+        code = (
+            "import sys, starfdr as sf\n"
+            "before = {'scipy.signal', 'scipy.linalg'} & set(sys.modules)\n"
+            "net = sf.builtin_config('3').instantiate(0.9)[0]\n"
+            "sf.sample_trial(net, (50, 40, 30, 20, 10), sf.DependenceSpec(sf.TAPERING_AR, 0.9))\n"
+            "print(sorted(before), 'scipy.signal' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "False", "True"]
+
     def test_random_assignment_mode(self):
         net = sf.NetworkModel([
             sf.NodeModel(0.5, 0.7, sf.gaussian_alt(2.0)),
@@ -349,10 +372,13 @@ SAMPLER_CASES = {  # name: (experiment, sweep value, sizes or None for the confi
     "ar1": ("3", 0.9, None, AR_9, 0.5),
     "taper-rho0": ("2c", 2, None, TAPER_0, None),
     "zero-size-node": ("2c", 5, (40, 0, 30, 1, 25), AR_9, 0.5),
+    "ar1-rho0.15": ("3", 0.15, None, sf.DependenceSpec(sf.TAPERING_AR, 0.15), 0.5),
+    "ar1-rho0.999999": ("3", 0.999999, None, sf.DependenceSpec(sf.TAPERING_AR, 0.999999), 0.5),
+    "mixed-ar1": ("2c", 3, None, AR_9, 0.25),
 }
 
 
-@pytest.mark.parametrize("t", [1, 7])
+@pytest.mark.parametrize("t", [1, 7, 40])
 @pytest.mark.parametrize("case", SAMPLER_CASES)
 def test_sample_rows_match_per_trial_draws(case, t):
     exp, value, sizes, dep, jitter = SAMPLER_CASES[case]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -469,6 +470,23 @@ def test_protocol_calls_on_a_sample_sort_each_node_once(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == sorts, name
+
+
+def test_pooled_storey_sorts_the_pool_in_place():
+    """Under Storey, as under spacing, pooled BH sorts its own pool rather
+    than a copy of it: on an experiment-1 sample of 300,000 p-values (a
+    2.3 MiB pool) the call's peak stays below 1.5 pools."""
+    net, sizes, dep, jitter, _ = sf.builtin_config("1").instantiate(100_000)
+    s = sf.sample_trial(net, sizes, dep, jitter, seed=0)
+    pool_bytes = 8 * s.m
+    for estimator in ("storey", "spacing"):
+        tracemalloc.start()
+        try:
+            sf.run_pooled_bh(s, 0.2, estimator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pool_bytes, estimator
 
 
 def test_slot_serves_the_calls_of_one_op():
