@@ -21,7 +21,6 @@ from .distmodel import (
     cauchy_alt,
     gaussian_alt,
     mixture_cdf,
-    mixture_pdf,
     normal_tail,
     normal_tail_inv,
     sample_trial,
@@ -48,7 +47,6 @@ from .greedy import (
     IntervalGrid,
     IntervalSelection,
     build_grid,
-    cell_densities,
     default_epsilon,
     greedy_select,
     oracle_interval_set,
@@ -66,7 +64,6 @@ from .netsim import (
     run_greedy_aggregation,
     run_no_comm,
     run_pooled_bh,
-    run_pooled_bh_oracle,
     run_proportion_matching,
 )
 from .oracleopt import (

@@ -91,40 +91,83 @@ def _cauchy_pdf(c, mu):
     return (c**2 + 1.0) / ((c - mu) ** 2 + 1.0)
 
 
-class InteriorGrid:
-    """The CDFs or densities of several alternatives at points t strictly
-    inside (0, 1), one row per alternative in turn.  What the rows share is
-    taken once per grid: z = Q^{-1}(t) for all Gaussian rows, and once per
-    pass tan(pi t/2) for the Cauchy CDFs or cot(pi t) for the Cauchy
-    densities."""
+class AltColumns:
+    """The alternatives of several nodes as columns, the shifts mu and the
+    Gaussian-kind mask, and their CDFs F and densities f by the closed forms
+    above, in the layout the caller's points take.  On a grid (grid) every
+    alternative takes the same points; at points (cdf) each point carries
+    the index of its alternative.  Either way a transform is taken once per
+    kind: once per grid, or once for all the points of that kind.  A total
+    CDF is x clipped to [0, 1] at and beyond the ends, and NaN at NaN."""
 
-    def __init__(self, t, alts):
-        self.t, self.alts = np.asarray(t, dtype=float), alts
-        self.z = normal_tail_inv(self.t) if any(a.kind == GAUSSIAN for a in alts) else None
+    def __init__(self, alts):
+        self.alts = tuple(alts)
+        self.mu = np.array([alt.mu for alt in self.alts])
+        self.gauss = np.array([alt.kind == GAUSSIAN for alt in self.alts], dtype=bool)
 
-    def cdf_rows(self):
+    def grid(self, t):
+        """(CDF rows, density rows) at the points t: two lazy iterators
+        over the alternatives in turn, the CDFs at every point and the
+        densities at the points strictly inside (0, 1).  A row is made when
+        it is asked for, so a caller that stops early or takes only CDFs
+        pays for no more; the Gaussian rows share z = Q^{-1}(t), the
+        Cauchy CDFs tan(pi t/2) and the Cauchy densities cot(pi t)."""
+        t = np.asarray(t, dtype=float)
+        inner = ~((t <= 0.0) | (t >= 1.0))  # NaN included: it gives NaN
+        ti = t if inner.all() else t[inner]
+        z = normal_tail_inv(ti) if self.gauss.any() else None
+        return self._cdf_rows(t, inner, ti, z), self._pdf_rows(ti, z)
+
+    def _cdf_rows(self, t, inner, ti, z):
+        edges = None if ti is t else np.asarray(t.clip(0.0, 1.0))
         u = None
         for alt in self.alts:
             if alt.kind == GAUSSIAN:
-                yield _gaussian_cdf(self.z, alt.mu)
+                row = _gaussian_cdf(z, alt.mu)
             else:
-                u = np.tan(0.5 * np.pi * self.t) if u is None else u
-                yield _cauchy_cdf(u, alt.mu)
+                u = np.tan(0.5 * np.pi * ti) if u is None else u
+                row = _cauchy_cdf(u, alt.mu)
+            if edges is not None:
+                out = edges.copy()
+                out[inner] = row
+                row = out
+            yield row
 
-    def pdf_rows(self):
+    def _pdf_rows(self, ti, z):
         c = None
         for alt in self.alts:
             if alt.kind == GAUSSIAN:
-                yield _gaussian_pdf(self.z, alt.mu)
+                yield _gaussian_pdf(z, alt.mu)
             else:
-                c = _cot_pi(self.t) if c is None else c
+                c = _cot_pi(ti) if c is None else c
                 yield _cauchy_pdf(c, alt.mu)
+
+    def cdf(self, t, i):
+        """F_i(t) at points t strictly inside (0, 1), where i (t's shape) is
+        the index of each point's alternative.  Each point takes the grid's
+        operations, so the value is its grid row's bit for bit; the
+        quantile skips normal_tail_inv's range check, which every point
+        passes."""
+        f = np.empty_like(t)
+        gauss = self.gauss[i]
+        if gauss.any():
+            f[gauss] = _gaussian_cdf(-ndtri(t[gauss]), self.mu[i[gauss]])
+        cauchy = ~gauss
+        if cauchy.any():
+            f[cauchy] = _cauchy_cdf(np.tan(0.5 * np.pi * t[cauchy]), self.mu[i[cauchy]])
+        return f
+
+
+def _float_or_array(out):
+    return float(out) if out.ndim == 0 else out
 
 
 def alt_cdf_pdf(alt: AlternativeModel, t: float) -> tuple[float, float]:
     """(CDF, density) of the alternative at one point t strictly inside
-    (0, 1), by InteriorGrid's formulas without its array checks: for a
-    solver that steps one point at a time."""
+    (0, 1), by AltColumns' formulas without its array checks: for a solver
+    that steps one point at a time.  The CDF equals alt_cdf's bit for bit;
+    the Cauchy density, with cot(pi t) taken on a scalar, can differ from
+    alt_pdf's by 2 ulp."""
     if alt.kind == GAUSSIAN:
         z = -ndtri(t)
         return float(_gaussian_cdf(z, alt.mu)), float(_gaussian_pdf(z, alt.mu))
@@ -132,24 +175,9 @@ def alt_cdf_pdf(alt: AlternativeModel, t: float) -> tuple[float, float]:
     return float(_cauchy_cdf(u, alt.mu)), float(_cauchy_pdf(_cot_pi(t), alt.mu))
 
 
-def alt_cdf_rows(alts, t):
-    """The CDF at t of each alternative in turn, total on [0, 1]."""
-    t = np.asarray(t, dtype=float)
-    inner = (t > 0.0) & (t < 1.0)
-    if inner.all():
-        yield from InteriorGrid(t, alts).cdf_rows()
-        return
-    edge = np.asarray(t >= 1.0, dtype=float)  # 0 at and below 0, 1 at and above 1
-    for row in InteriorGrid(t[inner], alts).cdf_rows():
-        out = edge.copy()
-        out[inner] = row
-        yield out
-
-
 def alt_cdf(alt: AlternativeModel, t):
     """CDF of the alternative p-value distribution, total on [0, 1]."""
-    out = next(alt_cdf_rows([alt], t))
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(next(AltColumns([alt]).grid(t)[0]))
 
 
 def alt_pdf(alt: AlternativeModel, t):
@@ -161,13 +189,13 @@ def alt_pdf(alt: AlternativeModel, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0) or np.any(t >= 1.0):
         raise ValueError("alt_pdf requires t strictly inside (0, 1)")
-    out = next(InteriorGrid(t, [alt]).pdf_rows())
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(next(AltColumns([alt]).grid(t)[1]))
 
 
 def superlevel_ends(alts, levels):
     """Ends of {x in (0,1): alt_pdf(alts[j], x) > T} for each level T in
-    column j of levels, which has one column per alternative.
+    column j of levels, which has one column per alternative of alts, an
+    AltColumns or the alternatives to build one from.
 
     Returns levels.shape + (4,): (a1, b1, a2, b2) with the set (a1, b1) u
     (a2, b2) and a1 <= b1 <= a2 <= b2; an empty piece has a == b.  Gaussian:
@@ -176,8 +204,8 @@ def superlevel_ends(alts, levels):
     linear at T = 1; its c set maps back by the decreasing x = atan2(1, c)/pi.
     """
     T = np.asarray(levels, dtype=float)
-    mu = np.array([alt.mu for alt in alts])
-    gauss = np.array([alt.kind == GAUSSIAN for alt in alts], dtype=bool)
+    cols = alts if isinstance(alts, AltColumns) else AltColumns(alts)
+    mu, gauss = cols.mu, cols.gauss
     # each set is (0, x1) u (x2, 1) where outer, else (x1, x2)
     x1, x2 = np.ones(T.shape), np.ones(T.shape)
     outer = np.ones(T.shape, dtype=bool)
@@ -247,63 +275,34 @@ class NodeModel:
 
 
 def mixture_cdf(node: NodeModel, t):
-    """G(t) = r0*t + (1-r0)*F(t) for one node."""
-    t = np.asarray(t, dtype=float)
-    u = np.clip(t, 0.0, 1.0)
-    out = node.r0 * u + node.r1 * alt_cdf(node.alt, u)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """G(t) = r0*t + (1-r0)*F(t) for one node, total on [0, 1]."""
+    return _float_or_array(MixtureColumns([node]).cdf(t, 0))
 
 
 class MixtureColumns:
     """The mixture CDFs of several nodes, evaluated in one pass over points
-    of all of them, and the per-node constants as arrays: q, r0, r1, the
-    shifts mu and the Gaussian-kind mask."""
+    of all of them, and the per-node constants as arrays: q, r0, r1 and the
+    alternatives' columns."""
 
     def __init__(self, nodes):
-        self.alts = [nd.alt for nd in nodes]
+        self.alts = AltColumns(nd.alt for nd in nodes)
         self.q = np.array([nd.q for nd in nodes])
         self.r0 = np.array([nd.r0 for nd in nodes])
         self.r1 = np.array([nd.r1 for nd in nodes])
-        self.mu = np.array([alt.mu for alt in self.alts])
-        self.gauss = np.array([alt.kind == GAUSSIAN for alt in self.alts], dtype=bool)
 
     def cdf(self, x, node):
-        """G_i(x) at points x in [0, 1], where i is the index in node
-        (broadcast to x's shape) of the point's node.
-
-        Equal bit for bit to mixture_cdf(nodes[i], x): G = 0 at 0 and 1 at 1
-        (r0 + (1 - r0) rounds to exactly 1), and each interior point takes mixture_cdf's
-        operations, with the Gaussian quantile once for all Gaussian points
-        and tan(pi x/2) once for all Cauchy ones.
+        """G_i(x) = r0_i x + r1_i F_i(x) at points x, where i is the index in
+        node (broadcast to x's shape) of the point's node: the one place the
+        mixture is formed.  Total on [0, 1] as F is: G = x clipped to [0, 1]
+        at and beyond the ends, which is r0 x + r1 x there (r0 + (1 - r0)
+        rounds to exactly 1), and NaN at NaN.
         """
         x = np.asarray(x, dtype=float)
-        g = (x >= 1.0).astype(float)
-        inner = (x > 0.0) & (x < 1.0)
-        t = x[inner]
-        i = np.broadcast_to(node, x.shape)[inner]
-        f = np.empty_like(t)
-        gauss = self.gauss[i]
-        if gauss.any():
-            f[gauss] = ndtr(-((-ndtri(t[gauss])) - self.mu[i[gauss]]))
-        cauchy = ~gauss
-        if cauchy.any():
-            f[cauchy] = _cauchy_cdf(np.tan(0.5 * np.pi * t[cauchy]), self.mu[i[cauchy]])
-        g[inner] = self.r0[i] * t + self.r1[i] * f
+        g = np.asarray(x.clip(0.0, 1.0))
+        inner = (x > 0.0) & (x < 1.0)  # the clip gives NaN at NaN
+        t, i = x[inner], np.broadcast_to(node, x.shape)[inner]
+        g[inner] = self.r0[i] * t + self.r1[i] * self.alts.cdf(t, i)
         return g
-
-
-def mixture_pdf(node: NodeModel, t):
-    """g(t) = r0 + (1-r0)*f(t); t must be interior."""
-    if node.r1 == 0.0:
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0) or np.any(t >= 1.0):
-            raise ValueError("mixture_pdf requires t strictly inside (0, 1)")
-        out = np.ones_like(t)
-        return float(out) if out.ndim == 0 else out
-    out = node.r0 + node.r1 * alt_pdf(node.alt, t)
-    return out
 
 
 @dataclass(frozen=True)
@@ -338,11 +337,6 @@ class NetworkModel:
     @property
     def r1_star(self) -> float:
         return 1.0 - self.r0_star
-
-    def cdf(self, t):
-        """Network mixture CDF, the q-weighted average of node CDFs."""
-        t = np.asarray(t, dtype=float)
-        return sum(nd.q * mixture_cdf(nd, t) for nd in self.nodes)
 
 
 @dataclass(frozen=True)

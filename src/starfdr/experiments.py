@@ -200,7 +200,7 @@ BLOCK_ELEMENTS = 2**17
 
 def _point_estimators(choice, net):
     """(node estimator, pooled estimator) of one sweep point; the pooled
-    oracle estimate is the network's r0*, as in run_pooled_bh_oracle."""
+    oracle estimate is the network's r0*."""
     est = make_estimator(choice, net)
     if choice == "oracle":
         return est, lambda _p, _i: oracle_estimate(net.r0_star)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distmodel import LabeledSample, MixtureColumns, NetworkModel, mixture_cdf
+from .distmodel import MixtureColumns, NetworkModel, mixture_cdf
 
 
 @dataclass(frozen=True)
@@ -100,23 +100,6 @@ def node_cells(p, L: float, K: int):
     j, counts = row_cells(np.asarray(p, dtype=float)[None], [L], [K])
     counts = counts[0]
     return j[0], counts, np.argsort(-counts, kind="stable") + 1
-
-
-def cell_densities(grid: IntervalGrid, sample: LabeledSample) -> list[CellDensity]:
-    """Empirical density h = count/(epsilon*m) for every candidate cell,
-    with cells as in node_cells."""
-    if grid.n_nodes != sample.n_nodes:
-        raise ValueError("grid and sample node counts differ")
-    scale = grid.epsilon * sample.m
-    out = []
-    for i in range(grid.n_nodes):
-        K = int(grid.counts[i])
-        if K == 0:
-            continue
-        _, counts, _ = node_cells(sample.pvalues[i], float(grid.lengths[i]), K)
-        out.extend(CellDensity(i, cell, c, c / scale)
-                   for cell, c in enumerate(counts.tolist(), start=1))
-    return out
 
 
 @dataclass(frozen=True)

@@ -290,13 +290,6 @@ def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> P
     return _finish([RejectionOutcome(i, int(i.size), tau) for i in idx], sample, transcript)
 
 
-def run_pooled_bh_oracle(sample, alpha, net):
-    """Pooled BH with the true network null proportion."""
-    return run_pooled_bh(
-        sample, alpha, estimator=lambda _p, _i: oracle_estimate(net.r0_star)
-    )
-
-
 def run_proportion_matching(
     sample: LabeledSample, alpha: float, estimator="spacing", adaptive: bool = False
 ) -> ProtocolResult:
@@ -517,7 +510,7 @@ def replay_greedy_transcript(
 
 def batch_equivalent_selection(sample: LabeledSample, alpha, epsilon, estimator="spacing"):
     """Batch-form selection on the same estimates and cells the protocol
-    uses, with the densities of cell_densities."""
+    uses, with the empirical densities h = count / (epsilon m)."""
     nodes = _greedy_cells(sample, epsilon, _node_work(sample, estimator, Transcript()))
     scale = epsilon * sample.m
     return greedy_select([CellDensity(i, cell, c, c / scale)

@@ -7,8 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distmodel import (GAUSSIAN, InteriorGrid, MixtureColumns, NetworkModel, NodeModel,
-                        alt_cdf_pdf, alt_cdf_rows, superlevel_ends, superlevel_pieces)
+from .distmodel import (GAUSSIAN, AltColumns, MixtureColumns, NetworkModel, NodeModel,
+                        alt_cdf_pdf, superlevel_ends, superlevel_pieces)
 from .greedy import selection_asymptotics
 from .procedures import (_THRESHOLD_GRID, asymptotic_threshold, beta_slope, local_alpha,
                          newton_crossing)
@@ -153,23 +153,24 @@ def _slope_gap(alt, beta: float, t: float) -> tuple[float, float]:
     return cdf - beta * t, pdf - beta
 
 
-def _node_thresholds(nodes, betas) -> np.ndarray:
-    """sup{t: F_i(t) = beta_i * t} for each node, bracketed in closed form.
+def _node_thresholds(alts: AltColumns, betas) -> np.ndarray:
+    """sup{t: F_i(t) = beta_i * t} for each alternative, bracketed in closed
+    form.
 
     h(t) = F_i(t) - beta t has h' = f_i - beta, so h falls outside the set
     {f_i > beta}, which for beta > 1 is at most one interval (a, b): the
     crossing lies in [b, 1) when h(b) >= 0 and is 0 otherwise, as when the
     set is empty or ends at 1 (a Gaussian mu < 0).  A Gaussian mu > 0 has
     the set (0, b) with h(b) > 0, also where b underflows to 0.0 and the
-    set comes out empty.  One superlevel_ends call covers all nodes.  On
+    set comes out empty.  One superlevel_ends call covers all of them.  On
     [b, 1) h is strictly decreasing, so the crossing is its one root there,
     found by newton_crossing with the closed-form density in h'.
     """
     betas = np.asarray(betas, dtype=float)
-    ends = superlevel_ends([nd.alt for nd in nodes], betas[None])[0].tolist()
+    ends = superlevel_ends(alts, betas[None])[0].tolist()
     taus = []
-    for nd, beta, row in zip(nodes, betas.tolist(), ends):
-        alt, spans = nd.alt, superlevel_pieces(row)
+    for alt, beta, row in zip(alts.alts, betas.tolist(), ends):
+        spans = superlevel_pieces(row)
         if beta <= 1.0:
             tau = 1.0
         elif not spans and not (alt.kind == GAUSSIAN and alt.mu > 0.0):
@@ -211,7 +212,7 @@ def fdr_bound_null_heterogeneity(net: NetworkModel, alpha: float,
         rbar_star = float(np.dot(q, rbar))
         beta_bar = beta_slope(alpha, min(rbar_star, 1.0 - 1e-9))
         betas = beta_slope(local_alpha(beta_bar, rbar), r0s)
-    taus = _node_thresholds(net.nodes, betas)
+    taus = _node_thresholds(AltColumns(nd.alt for nd in net.nodes), betas)
     # F_i(tau_i) by the solver's closed form; F = tau at tau in {0, 1}
     fmass = np.array([alt_cdf_pdf(nd.alt, tau)[0] if 0.0 < tau < 1.0 else tau
                       for nd, tau in zip(net.nodes, taus.tolist())])
@@ -229,7 +230,7 @@ def _pooled(net: NetworkModel, rows):
 
 def pooled_alt_cdf(net: NetworkModel, t):
     """Network-level alternative CDF: (1/r1*) sum q r1 F_i."""
-    return _pooled(net, alt_cdf_rows([nd.alt for nd in net.nodes], t))
+    return _pooled(net, AltColumns(nd.alt for nd in net.nodes).grid(t)[0])
 
 
 def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
@@ -243,7 +244,8 @@ def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
     interior points.
     An all-null network (r0* = 1) raises ValueError, from beta_slope."""
     bs = beta_slope(alpha, net.r0_star)
-    taus = _node_thresholds(net.nodes, np.full(len(net), bs))
+    alts = AltColumns(nd.alt for nd in net.nodes)
+    taus = _node_thresholds(alts, np.full(len(net), bs))
     lo, hi = float(taus.min()), float(taus.max())
     if hi - lo < 1e-9:
         lo = max(lo - 1e-3, 1e-6)
@@ -251,17 +253,18 @@ def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
     ts = np.linspace(lo, hi, _SUP_GRID)
     if lo == 0.0:
         ts = np.concatenate([[0.0], _THRESHOLD_GRID[_THRESHOLD_GRID < ts[1]], ts[1:]])
-    alts = [nd.alt for nd in net.nodes]
-    # hi < 1, so only ts[0] = lo can fall outside (0, 1): at lo = 0, where F = 0
+    # hi < 1, so only ts[0] = lo can fall outside (0, 1): at lo = 0, where
+    # F = 0.  The grid takes the interior points and the zero is prepended,
+    # which is cheaper than the grid's own masked copy of each row
     skip = int(lo == 0.0)
-    grid = InteriorGrid(ts[skip:], alts)
-    rows = [np.concatenate([np.zeros(skip), row]) for row in grid.cdf_rows()]
+    cdf_rows, pdf_rows = alts.grid(ts[skip:])
+    rows = [np.concatenate([np.zeros(skip), row]) for row in cdf_rows]
     pooled = _pooled(net, rows)
     deltas = np.array([float(np.max(np.abs(row - pooled))) for row in rows])
     if lo == 0.0 and any(nd.r1 > 0.0 and nd.alt.kind == GAUSSIAN and nd.alt.mu > 0.0
                          for nd in net.nodes):
         return deltas, np.inf
-    return deltas, float(np.max(_pooled(net, grid.pdf_rows())))
+    return deltas, float(np.max(_pooled(net, pdf_rows)))
 
 
 def alt_heterogeneity_bounds(net: NetworkModel, alpha: float, deltas,

@@ -117,6 +117,47 @@ class TestAltModel:
             with pytest.raises(ValueError):
                 sf.alt_pdf(sf.gaussian_alt(1.0), bad)
 
+    def test_scalar_path_matches_arrays(self):
+        # alt_cdf_pdf, the one-point path Newton steps on, takes the array
+        # paths' formulas: the CDF bit for bit, the density within 2 ulp
+        rng = np.random.default_rng(0)
+        ts = np.concatenate([rng.random(1500), np.geomspace(1e-300, 0.5, 500),
+                             1.0 - np.geomspace(1e-16, 0.5, 250)])
+        for kind in (sf.GAUSSIAN, sf.CAUCHY):
+            for mu in (-6.0, -2.5, -0.3, 0.0, 0.4, 1.25, 2.0, 3.7, 8.0):
+                alt = sf.AlternativeModel(kind, mu)
+                cdf, pdf = np.array([distmodel.alt_cdf_pdf(alt, t) for t in ts.tolist()]).T
+                assert np.array_equal(cdf, sf.alt_cdf(alt, ts))
+                want = sf.alt_pdf(alt, ts)
+                assert np.all(np.abs(pdf - want) <= 2.0 * np.spacing(want))
+
+
+_NAN_NET = sf.NetworkModel([sf.NodeModel(0.6, 0.7, sf.gaussian_alt(2.0)),
+                            sf.NodeModel(0.4, 0.5, sf.cauchy_alt(1.0))])
+
+
+@pytest.mark.parametrize("cdf", [
+    lambda x: sf.alt_cdf(sf.gaussian_alt(2.0), x),
+    lambda x: sf.alt_cdf(sf.cauchy_alt(1.0), x),
+    lambda x: sf.mixture_cdf(_NAN_NET.nodes[0], x),
+    lambda x: sf.mixture_cdf(_NAN_NET.nodes[1], x),
+    lambda x: sf.pooled_alt_cdf(_NAN_NET, x),
+    lambda x: distmodel.MixtureColumns(_NAN_NET.nodes).cdf(
+        x, (np.arange(np.size(x)) % 2).reshape(np.shape(x))),
+], ids=["alt_gaussian", "alt_cauchy", "mixture_gaussian", "mixture_cauchy", "pooled",
+        "mixture_columns"])
+def test_cdf_is_nan_at_nan(cdf):
+    # one rule for every CDF: NaN at a NaN point, the edges exact beside it
+    got = np.asarray(cdf(np.array([np.nan, 0.0, 1.0, -0.5, 1.5, 0.3])))
+    assert np.isnan(got[0]) and got[1:5].tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert 0.0 < got[5] < 1.0
+    assert np.isnan(cdf(np.nan))
+
+
+def test_pdf_is_nan_at_nan():
+    for alt in (sf.gaussian_alt(2.0), sf.cauchy_alt(1.0)):
+        assert np.isnan(sf.alt_pdf(alt, np.nan))
+
 
 class TestMixture:
     def test_all_null(self):
@@ -130,12 +171,6 @@ class TestMixture:
     def test_cauchy_mixture_value(self):
         node = sf.NodeModel(1.0, 0.5, sf.cauchy_alt(1.0))
         assert sf.mixture_cdf(node, 0.5) == pytest.approx(0.625)
-
-    def test_pdf(self):
-        node = sf.NodeModel(1.0, 0.5, sf.gaussian_alt(2.0))
-        t = 0.1
-        expect = 0.5 + 0.5 * sf.alt_pdf(node.alt, t)
-        assert sf.mixture_pdf(node, t) == pytest.approx(expect)
 
 
 # the ends of [0, 1] and the floats next to them, which the one-pass CDF
@@ -192,15 +227,6 @@ class TestNetwork:
         ])
         assert net.r0_star == pytest.approx(0.5)
         assert net.r1_star == pytest.approx(0.5)
-
-    def test_network_cdf_is_weighted_average(self):
-        net = sf.NetworkModel([
-            sf.NodeModel(0.3, 0.5, sf.gaussian_alt(2.0)),
-            sf.NodeModel(0.7, 0.8, sf.cauchy_alt(1.0)),
-        ])
-        t = 0.2
-        expect = 0.3 * sf.mixture_cdf(net.nodes[0], t) + 0.7 * sf.mixture_cdf(net.nodes[1], t)
-        assert net.cdf(t) == pytest.approx(expect)
 
 
 class TestDependenceSpec:

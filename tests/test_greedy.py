@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starfdr as sf
-from starfdr.greedy import estimate_grid, greedy_order
+from starfdr.greedy import estimate_grid, greedy_order, node_cells
 
 
 class TestBuildGrid:
@@ -57,49 +57,38 @@ class TestBuildGrid:
             estimate_grid(0.0, [30], [0.5])
 
 
-def _sample_from(pvalues_per_node):
-    ps = [np.asarray(p, dtype=float) for p in pvalues_per_node]
-    return sf.LabeledSample(ps, [np.ones(len(p), dtype=bool) for p in ps])
-
-
 class TestCellDensities:
+    """The cell counts behind the empirical densities, from node_cells."""
+
+    @staticmethod
+    def _counts(grid, p):
+        return node_cells(p, float(grid.lengths[0]), int(grid.counts[0]))[1].tolist()
+
     def test_counts_and_scale(self):
-        # 8 p-values in the first cell of 10, eps=0.1, m=100
+        # 8 p-values in the first cell of 10 cells of length 0.1
         g = sf.build_grid(0.1, [1.0], [1.0])
         p = np.concatenate([np.full(8, 0.05), np.linspace(0.15, 0.95, 92)])
-        dens = sf.cell_densities(g, _sample_from([p]))
-        first = next(d for d in dens if d.cell == 1)
-        assert first.count == 8
-        assert first.h == pytest.approx(0.8)
+        counts = self._counts(g, p)
+        assert len(counts) == 10 and counts[0] == 8 and sum(counts) == 100
 
     def test_empty_cell_zero(self):
         g = sf.build_grid(0.25, [1.0], [1.0])
-        dens = sf.cell_densities(g, _sample_from([[0.9]]))
-        assert [d.h for d in dens if d.cell != 4] == [0.0, 0.0, 0.0]
+        assert self._counts(g, [0.9]) == [0, 0, 0, 1]
 
     def test_right_endpoint_belongs_to_cell(self):
         g = sf.build_grid(0.25, [1.0], [1.0])  # L = 0.25, K = 4
-        dens = sf.cell_densities(g, _sample_from([[0.25, 0.5]]))
-        by_cell = {d.cell: d.count for d in dens}
-        assert by_cell[1] == 1 and by_cell[2] == 1 and by_cell[3] == 0
+        assert self._counts(g, [0.25, 0.5])[:3] == [1, 1, 0]
 
     def test_tail_pvalues_uncounted(self):
         g = sf.build_grid(0.03, [0.2], [0.5])  # covers (0, 0.9]
-        dens = sf.cell_densities(g, _sample_from([[0.95, 0.99]]))
-        assert sum(d.count for d in dens) == 0
+        assert sum(self._counts(g, [0.95, 0.99])) == 0
 
     def test_total_count_bounded(self):
         rng = np.random.default_rng(1)
         p = rng.random(200)
         g = sf.build_grid(0.04, [1.0], [0.7])
-        dens = sf.cell_densities(g, _sample_from([p]))
-        assert sum(d.count for d in dens) <= 200
-        assert all(d.h >= 0 for d in dens)
-
-    def test_node_count_mismatch(self):
-        g = sf.build_grid(0.1, [0.5, 0.5], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            sf.cell_densities(g, _sample_from([[0.1]]))
+        counts = self._counts(g, p)
+        assert sum(counts) <= 200 and min(counts) >= 0
 
 
 class TestSelectMstar:

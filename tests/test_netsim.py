@@ -85,7 +85,7 @@ class TestPooledBH:
 
     def test_oracle_variant(self):
         s = _trial(seed=4)
-        res = sf.run_pooled_bh_oracle(s, 0.2, NET2)
+        res = sf.run_pooled_bh(s, 0.2, lambda _p, _i: sf.oracle_estimate(NET2.r0_star))
         level = min(0.2 / NET2.r0_star, 1.0)
         direct = sf.bh_procedure(np.concatenate(s.pvalues), level)
         assert res.metrics.R == direct.k_hat
@@ -593,5 +593,8 @@ def test_batch_selection_bins_once(sample, estimator, monkeypatch):
     calls = _count_binning(monkeypatch)
     assert sf.batch_equivalent_selection(sample, 0.2, eps, estimator) == want
     assert len(calls) == (np.count_nonzero(grid.counts) if callable(estimator) else 0)
-    # against the batch selector on cell_densities, which bins afresh
-    assert sf.greedy_select(sf.cell_densities(grid, sample), 0.2) == want
+    # against the batch selector on densities binned afresh
+    dens = [sf.CellDensity(i, cell, c, c / (eps * sample.m))
+            for i, (p, L, K) in enumerate(zip(sample.pvalues, grid.lengths, grid.counts)) if K
+            for cell, c in enumerate(greedy.node_cells(p, L, K)[1].tolist(), start=1)]
+    assert sf.greedy_select(dens, 0.2) == want

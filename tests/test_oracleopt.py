@@ -501,7 +501,7 @@ def _cauchy_density_end(mu, beta):
 
 
 def _threshold(node, beta):
-    return oracleopt._node_thresholds([node], [beta])[0]
+    return oracleopt._node_thresholds(distmodel.AltColumns([node.alt]), [beta])[0]
 
 
 class TestNodeThreshold:
@@ -554,7 +554,8 @@ class TestNodeThreshold:
         points = []
         real = distmodel.ndtri
         monkeypatch.setattr(distmodel, "ndtri", lambda p: points.append(np.size(p)) or real(p))
-        taus = oracleopt._node_thresholds(net.nodes, np.full(len(net), sf.beta_slope(0.2, net.r0_star)))
+        alts = distmodel.AltColumns(nd.alt for nd in net.nodes)
+        taus = oracleopt._node_thresholds(alts, np.full(len(net), sf.beta_slope(0.2, net.r0_star)))
         assert np.all((taus > 0.0) & (taus < 1.0))
         assert sum(points) <= 64 * len(net)
 
@@ -634,7 +635,7 @@ class TestAltHeterogeneityBounds:
         ])
         deltas, c = sf.measure_alt_heterogeneity(net, 0.2)
         ts = np.geomspace(1e-12, 1e-6, 20_001)
-        rows = list(distmodel.alt_cdf_rows([nd.alt for nd in net.nodes], ts))
+        rows = list(distmodel.AltColumns(nd.alt for nd in net.nodes).grid(ts)[0])
         sup = float(np.max(np.abs(rows[2] - oracleopt._pooled(net, rows))))
         assert sup == pytest.approx(0.6225, abs=1e-4)
         assert deltas[2] == pytest.approx(sup, rel=1e-3)
@@ -661,6 +662,17 @@ class TestAltHeterogeneityBounds:
         net = self._net((1.8, 2.2))
         with pytest.raises(ValueError):
             sf.alt_heterogeneity_bounds(net, 0.2, [-0.1, 0.0], 0.5)
+
+
+def test_pooled_alt_cdf_one_quantile_per_grid(monkeypatch):
+    # five Gaussian nodes: one call on a grid takes z = Q^{-1}(t) once
+    net = sf.builtin_config("1").instantiate(1000)[0]
+    sizes = []
+    real = distmodel.normal_tail_inv
+    monkeypatch.setattr(distmodel, "normal_tail_inv", lambda p: sizes.append(np.size(p))
+                        or real(p))
+    sf.pooled_alt_cdf(net, np.linspace(1e-4, 0.5, 777))
+    assert sizes == [777]
 
 
 def test_pooled_alt_cdf_is_mixture_of_nodes():

@@ -438,8 +438,8 @@ def _model_cdfs(draw):
     which = draw(st.sampled_from(["node", "network", "pooled"]))
     if which == "node":
         return lambda t: sf.mixture_cdf(net.nodes[0], t)
-    if which == "network":
-        return net.cdf
+    if which == "network":  # the q-weighted average of the node mixtures
+        return lambda t: sum(nd.q * sf.mixture_cdf(nd, t) for nd in net.nodes)
     return lambda t: sf.pooled_alt_cdf(net, t)
 
 
