@@ -32,7 +32,8 @@ from .experiments import (
     run_experiment,
 )
 from .netsim import run_greedy_aggregation, run_pooled_bh
-from .oracleopt import optimal_region
+from .oracleopt import (alt_heterogeneity_bounds, fdr_bound_null_heterogeneity,
+                        measure_alt_heterogeneity, optimal_region)
 from .procedures import bh_procedure
 
 EXIT_OK = 0
@@ -160,14 +161,24 @@ def _cmd_bench(args) -> int:
     t3 = time.perf_counter()
     optimal_region(rng_net, 0.2)
     t4 = time.perf_counter()
+    # the rest of the oracle workload's op on the same network
+    fdr_bound_null_heterogeneity(rng_net, 0.2)
+    t5 = time.perf_counter()
+    deltas, lipschitz = measure_alt_heterogeneity(rng_net, 0.2)
+    t6 = time.perf_counter()
+    alt_heterogeneity_bounds(rng_net, 0.2, deltas, lipschitz)
+    t7 = time.perf_counter()
     run_experiment(ExperimentConfig(**{**builtin_config("2c", trials=40).__dict__,
                                        "sweep_values": (3,)}))
-    t5 = time.perf_counter()
+    t8 = time.perf_counter()
     print(f"bh on 1e5 p-values:     {t1 - t0:.4f} s")
     print(f"pooled protocol:        {t2 - t1:.4f} s")
     print(f"greedy protocol:        {t3 - t2:.4f} s")
     print(f"optimal region search:  {t4 - t3:.4f} s")
-    print(f"sweep 2c@3, 40 trials:  {t5 - t4:.4f} s")
+    print(f"null FDR bound:         {t5 - t4:.4f} s")
+    print(f"alt heterogeneity:      {t6 - t5:.4f} s")
+    print(f"alt bounds:             {t7 - t6:.4f} s")
+    print(f"sweep 2c@3, 40 trials:  {t8 - t7:.4f} s")
     return EXIT_OK
 
 

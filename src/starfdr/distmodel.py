@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -74,7 +75,8 @@ def _cot_pi(t):
 # t that each kind shares across alternatives: z = Q^{-1}(t) for a Gaussian
 # shift, u = tan(pi t/2) for a Cauchy CDF and c = cot(pi t) for its density.
 def _gaussian_cdf(z, mu):
-    return normal_tail(z - mu)
+    # Q(z - mu) as Phi(mu - z), one pass fewer: fl(mu - z) = -fl(z - mu)
+    return ndtr(mu - z)
 
 
 def _gaussian_pdf(z, mu):
@@ -104,6 +106,39 @@ class AltColumns:
         self.alts = tuple(alts)
         self.mu = np.array([alt.mu for alt in self.alts])
         self.gauss = np.array([alt.kind == GAUSSIAN for alt in self.alts], dtype=bool)
+        kinds = {alt.kind for alt in self.alts}
+        self.kind = kinds.pop() if len(kinds) == 1 else None  # the kind all share
+
+    @cached_property
+    def _superlevel(self):
+        """superlevel_ends' per-column constants, made on its first call
+        and kept: (flat, gauss, cauchy).  flat holds the columns with
+        mu = 0, or is None.  gauss holds, for each sign of mu present,
+        (columns, end, -mu, mu^2/2), where end is the index in
+        (a1, b1, a2, b2) of the one end that moves: b1 of (0, x) for
+        mu > 0, a2 of (x, 1) for mu < 0.  cauchy is None or (columns, mu,
+        x1, x2) with (x1, x2) the set at T = 1: (x(mu/2), 1) for mu > 0 and
+        (0, x(mu/2)) for mu < 0, where x(c) = atan2(1, c)/pi."""
+        flat, above, below, cauchy = [], [], [], []
+        for j, alt in enumerate(self.alts):
+            if alt.mu == 0.0:
+                flat.append(j)
+            elif alt.kind == CAUCHY:
+                cauchy.append(j)
+            else:
+                (above if alt.mu > 0.0 else below).append(j)
+        gauss = []
+        for end, cols in ((1, above), (2, below)):
+            if cols:
+                m = self.mu[cols]
+                gauss.append((_columns(cols), end, -m, 0.5 * m * m))
+        cauchy_form = None
+        if cauchy:
+            m = self.mu[cauchy]
+            xu = np.arctan2(1.0, 0.5 * m) / np.pi
+            cauchy_form = (_columns(cauchy), m, np.where(m > 0.0, xu, 0.0),
+                           np.where(m > 0.0, 1.0, xu))
+        return (_columns(flat) if flat else None), gauss, cauchy_form
 
     def grid(self, t):
         """(CDF rows, density rows) at the points t: two lazy iterators
@@ -147,15 +182,34 @@ class AltColumns:
         the index of each point's alternative.  Each point takes the grid's
         operations, so the value is its grid row's bit for bit; the
         quantile skips normal_tail_inv's range check, which every point
-        passes."""
+        passes.  Alternatives of one kind take no split by kind."""
+        mu = self.mu[i]
+        if self.kind is not None:
+            return _point_cdf(self.kind, t, mu)
         f = np.empty_like(t)
         gauss = self.gauss[i]
-        if gauss.any():
-            f[gauss] = _gaussian_cdf(-ndtri(t[gauss]), self.mu[i[gauss]])
-        cauchy = ~gauss
-        if cauchy.any():
-            f[cauchy] = _cauchy_cdf(np.tan(0.5 * np.pi * t[cauchy]), self.mu[i[cauchy]])
+        for kind, at in ((GAUSSIAN, gauss), (CAUCHY, ~gauss)):
+            f[at] = _point_cdf(kind, t[at], mu[at])
         return f
+
+
+def _point_cdf(kind, t, mu):
+    """F at points t strictly inside (0, 1) of alternatives of one kind with
+    shifts mu (t's shape)."""
+    if kind == GAUSSIAN:
+        return _gaussian_cdf(-ndtri(t), mu)
+    return _cauchy_cdf(np.tan(0.5 * np.pi * t), mu)
+
+
+def _columns(cols: list):
+    """Column indices as a slice where they are contiguous, so that reading
+    and writing them takes views, else as an index array."""
+    lo, hi = cols[0], cols[-1] + 1
+    return slice(lo, hi) if hi - lo == len(cols) else np.array(cols)
+
+
+# (a1, b1, a2, b2) of the empty set: superlevel_ends' starting ends
+_EMPTY_ENDS = np.array([0.0, 0.0, 1.0, 1.0])
 
 
 def _float_or_array(out):
@@ -202,49 +256,45 @@ def superlevel_ends(alts, levels):
     f = exp(mu z - mu^2/2) is monotone in z = Q^{-1}(x).  Cauchy: with
     c = cot(pi x), f > T is (1-T) c^2 + 2 T mu c + (1 - T - T mu^2) > 0,
     linear at T = 1; its c set maps back by the decreasing x = atan2(1, c)/pi.
+    An AltColumns makes its per-column constants on its first call and keeps
+    them, so a series of calls passes one AltColumns.
     """
     T = np.asarray(levels, dtype=float)
     cols = alts if isinstance(alts, AltColumns) else AltColumns(alts)
-    mu, gauss = cols.mu, cols.gauss
-    # each set is (0, x1) u (x2, 1) where outer, else (x1, x2)
-    x1, x2 = np.ones(T.shape), np.ones(T.shape)
-    outer = np.ones(T.shape, dtype=bool)
-    flat = np.flatnonzero(mu == 0.0)  # f = 1: everything for T < 1, else nothing
-    x1[..., flat] = T[..., flat] < 1.0
-    cols = np.flatnonzero(gauss & (mu != 0.0))
-    if cols.size:
-        m = mu[cols]
-        # T <= 0 (log -inf) gives x = 1 for mu > 0 and x = 0 for mu < 0: everything
-        with np.errstate(divide="ignore", over="ignore"):
-            x = normal_tail((np.log(np.maximum(T[..., cols], 0.0)) + 0.5 * m * m) / m)
-        x1[..., cols] = np.where(m > 0.0, x, 0.0)  # (0, x) for mu > 0
-        x2[..., cols] = np.where(m > 0.0, 1.0, x)  # (x, 1) for mu < 0
-    cols = np.flatnonzero(~gauss & (mu != 0.0))
-    if cols.size:
-        t, m = T[..., cols], mu[cols]
-        with np.errstate(all="ignore"):
+    flat, gauss, cauchy = cols._superlevel
+    ends = np.empty(T.shape + (4,))
+    ends[...] = _EMPTY_ENDS  # each form below writes the ends it moves
+    # T <= 0 takes log 0 = -inf; T = inf and Cauchy's roots go through
+    # inf - inf and 0/0, which the masks below replace
+    with np.errstate(all="ignore"):
+        if flat is not None:  # f = 1: everything for T < 1, else nothing
+            ends[..., flat, 1] = T[..., flat] < 1.0
+        for c, end, neg_mu, half_mu2 in gauss:
+            # x = Q((ln T + mu^2/2)/mu), as Phi of the quotient by -mu; T <= 0
+            # gives x = 1 for mu > 0 and x = 0 for mu < 0: everything
+            ends[..., c, end] = ndtr((np.log(np.maximum(T[..., c], 0.0)) + half_mu2) / neg_mu)
+        if cauchy is not None:
+            c, m, unit1, unit2 = cauchy
+            t = T[..., c]
             a, b = 1.0 - t, t * m
             k = a - b * m  # = 1 - T - T mu^2
             disc = b * b - a * k  # quarter discriminant, = T mu^2 - (1-T)^2
             qq = -(b + np.copysign(np.sqrt(disc), b))  # roots without cancellation
             xa, xb = np.arctan2(1.0, qq / a) / np.pi, np.arctan2(1.0, k / qq) / np.pi
-        lo, hi = np.minimum(xa, xb), np.maximum(xa, xb)
-        # no sign change, or T <= 0: the sign of a throughout, everything
-        # for T < 1 and nothing for T > 1
-        none = ~(disc > 0.0) | (t <= 0.0)
-        lo[none], hi[none] = 1.0, 1.0
-        # T = 1: 2 mu c > mu^2, one-sided like the Gaussian
-        xu = np.arctan2(1.0, 0.5 * m) / np.pi
-        unit = t == 1.0
-        x1[..., cols] = np.where(unit, np.where(m > 0.0, xu, 0.0), lo)
-        x2[..., cols] = np.where(unit, np.where(m > 0.0, 1.0, xu), hi)
-        # the two outer intervals for T < 1, the inner one for T > 1
-        outer[..., cols] = t <= 1.0
-    ends = np.empty(T.shape + (4,))
-    ends[..., 0] = np.where(outer, 0.0, x1)
-    ends[..., 1] = np.where(outer, x1, x2)
-    ends[..., 2] = np.where(outer, x2, 1.0)
-    ends[..., 3] = 1.0
+            lo, hi = np.minimum(xa, xb), np.maximum(xa, xb)
+            # no sign change, or T <= 0: the sign of a throughout, everything
+            # for T < 1 and nothing for T > 1
+            none = ~(np.minimum(disc, t) > 0.0)
+            lo[none], hi[none] = 1.0, 1.0
+            # T = 1: 2 mu c > mu^2, one-sided like the Gaussian
+            unit = t == 1.0
+            np.copyto(lo, unit1, where=unit)
+            np.copyto(hi, unit2, where=unit)
+            # the two outer intervals for T <= 1, the inner one for T > 1
+            outer = t <= 1.0
+            ends[..., c, 0] = np.where(outer, 0.0, lo)
+            ends[..., c, 1] = np.where(outer, lo, hi)
+            ends[..., c, 2] = np.where(outer, hi, 1.0)
     return ends
 
 
@@ -299,9 +349,13 @@ class MixtureColumns:
         """
         x = np.asarray(x, dtype=float)
         g = np.asarray(x.clip(0.0, 1.0))
-        inner = (x > 0.0) & (x < 1.0)  # the clip gives NaN at NaN
-        t, i = x[inner], np.broadcast_to(node, x.shape)[inner]
-        g[inner] = self.r0[i] * t + self.r1[i] * self.alts.cdf(t, i)
+        # the interior points by flat index (the clip gives NaN at NaN), and
+        # each one's node
+        k = ((x > 0.0) & (x < 1.0)).ravel().nonzero()[0]
+        nodes = np.empty(x.shape, dtype=np.intp)
+        nodes[...] = node
+        t, i = x.take(k), nodes.take(k)
+        g.put(k, self.r0[i] * t + self.r1[i] * self.alts.cdf(t, i))
         return g
 
 
@@ -330,8 +384,9 @@ class NetworkModel:
     def r0(self) -> np.ndarray:
         return np.array([nd.r0 for nd in self.nodes])
 
-    @property
+    @cached_property
     def r0_star(self) -> float:
+        # kept once made: the nodes are frozen, and the oracle calls read it often
         return float(np.dot(self.q, self.r0))
 
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,9 @@ CONTROL_BITS = 2  # encodes the {1, 0, -1} control alphabet
 PVALUE_BITS = 64  # reporting convention for shipping one real p-value
 
 
+_INT_TOKEN = re.compile(r"-?[0-9]+")  # what str gives for an int
+
+
 def _bits_for_count(n: int) -> int:
     """ceil(log2(n)) for a positive integer payload range."""
     return max(0, math.ceil(math.log2(n))) if n > 1 else 0
@@ -106,6 +110,27 @@ class Transcript:
 
     def serialize(self) -> str:
         return "\n".join(msg.serialize() for msg in self.messages)
+
+    @classmethod
+    def parse(cls, text: str) -> Transcript:
+        """The inverse of serialize: one message per line.  A payload token
+        that is an integer literal becomes an int, and any other stays a
+        string (pooled BH's "pvalues").  rounds is the last message's
+        round, 0 for empty text.  termination and notes are not in the
+        text, so they keep their defaults.  Raises ValueError on a line
+        without the six tab-separated fields."""
+        transcript = cls()
+        for k, line in enumerate(text.split("\n") if text else [], 1):
+            fields = line.split("\t")
+            if len(fields) != 6:
+                raise ValueError(f"line {k}: {len(fields)} tab-separated fields, not 6")
+            round_, direction, sender, receiver, payload, bits = fields
+            values = [int(v) if _INT_TOKEN.fullmatch(v) else v for v in payload.split(",")]
+            transcript.add(int(round_), direction, int(sender), int(receiver),
+                           values if payload else (), int(bits))
+        if transcript.messages:
+            transcript.rounds = transcript.messages[-1].round
+        return transcript
 
 
 @dataclass

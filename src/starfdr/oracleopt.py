@@ -26,16 +26,18 @@ _SUP_GRID = 10_000  # points on measure_alt_heterogeneity's bracket
 class _Signal(NamedTuple):
     """The nodes with signal (r1 > 0) of one network as the columns of its
     FDR tables, with the constants every table takes: the level scale
-    r0/r1 and the null weight q r0."""
+    r0/r1, and per node the null weight q r0 and the total weight q, laid
+    out (node, 1, [null, total], 1) to scale the tables' masses."""
 
     cols: MixtureColumns
     scale: np.ndarray
-    null_weight: np.ndarray
+    weights: np.ndarray
 
 
 def _signal(net: NetworkModel) -> _Signal:
     cols = MixtureColumns([nd for nd in net.nodes if nd.r1 > 0.0])
-    return _Signal(cols, cols.r0 / cols.r1, cols.q * cols.r0)
+    weights = np.stack([cols.q * cols.r0, cols.q], axis=1)[:, None, :, None]
+    return _Signal(cols, cols.r0 / cols.r1, weights)
 
 
 def _level_ends(alts, scale, ts) -> np.ndarray:
@@ -58,15 +60,22 @@ def _fdr_table(sig: _Signal, ts) -> np.ndarray:
     """FDR of the level_region sets at each level t in ts, as
     selection_asymptotics computes it: running sums from 0 of the null and
     total masses, node by node and piece by piece (an empty piece adds
-    exactly 0).  The mixture CDFs of all ends come from one pass."""
+    exactly 0).  The mixture CDFs of all ends come from one pass; the two
+    sums run side by side, one in-place add per (node, piece)."""
     ends = _level_ends(sig.cols.alts, sig.scale, ts)
-    g = sig.cols.cdf(ends, np.arange(ends.shape[1])[:, None])
-    null = sig.null_weight[:, None] * (ends[..., 1::2] - ends[..., ::2])
-    mass = sig.cols.q[:, None] * (g[..., 1::2] - g[..., ::2])
-    zero = np.zeros((len(ts), 1))
-    num = np.add.accumulate(np.hstack([zero, null.reshape(len(ts), -1)]), axis=1)[:, -1]
-    den = np.add.accumulate(np.hstack([zero, mass.reshape(len(ts), -1)]), axis=1)[:, -1]
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    n, size = ends.shape[1], len(ts)
+    g = sig.cols.cdf(ends, np.arange(n)[:, None])
+    # the masses as (node, piece, [null, total], level): each add reads one
+    # contiguous block
+    mass = np.empty((n, 2, 2, size))
+    np.subtract(ends[..., 1::2], ends[..., ::2], out=mass[:, :, 0].transpose(2, 0, 1))
+    np.subtract(g[..., 1::2], g[..., ::2], out=mass[:, :, 1].transpose(2, 0, 1))
+    mass *= sig.weights
+    sums = np.zeros((2, size))
+    for part in mass.reshape(2 * n, 2, size):
+        sums += part
+    num, den = sums
+    return np.divide(num, den, out=np.zeros(size), where=den > 0.0)
 
 
 def _splits(lo: float, hi: float) -> bool:
@@ -80,15 +89,18 @@ def _splits(lo: float, hi: float) -> bool:
 def _bisection_tree(lo: float, hi: float) -> list:
     """The midpoints the next _TREE_DEPTH steps of bisecting (lo, hi) can
     visit, in heap order: the halves of node k are nodes 2k+1 (lower) and
-    2k+2 (upper).  Each is 0.5*(lo+hi) of its own bracket, as in the loop."""
-    tree, brackets = [], [(lo, hi)]
-    for _ in range(_TREE_DEPTH):
-        halves = []
-        for a, b in brackets:
-            mid = 0.5 * (a + b)
-            tree.append(mid)
-            halves += [(a, mid), (mid, b)]
-        brackets = halves
+    2k+2 (upper).  Each is 0.5*(lo+hi) of its own bracket, as in the loop.
+    The brackets of one depth lie between consecutive entries of edges, the
+    2^D + 1 bracket ends in order, whose midpoints the next depth fills in."""
+    n = 1 << _TREE_DEPTH
+    edges = [lo] * n + [hi]
+    tree, step = [], n
+    while step > 1:
+        half = step // 2
+        for j in range(half, n, step):
+            edges[j] = 0.5 * (edges[j - half] + edges[j + half])
+        tree += edges[half::step]
+        step = half
     return tree
 
 
@@ -103,9 +115,13 @@ def c_alpha_search(net: NetworkModel, alpha: float) -> float:
     the loop's path even where FDR(t) is not monotone.  When no level up to
     2^39 is feasible it returns 2^40, where the regions are taken as empty.
     """
+    return _level_search(_signal(net), alpha)
+
+
+def _level_search(sig: _Signal, alpha: float) -> float:
+    """c_alpha_search on the network's signal columns."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    sig = _signal(net)
     ok = (_fdr_table(sig, _DOUBLING_LEVELS) <= alpha).tolist()
     if ok[0]:
         return 0.0
@@ -131,11 +147,11 @@ def optimal_region(net: NetworkModel, alpha: float):
     """Optimal per-node regions with their asymptotic FDR and power.  An
     all-null network (r0* = 1), or one where no level up to 2^39 meets
     alpha, gets empty regions, FDR 0 and power 0."""
-    c = c_alpha_search(net, alpha)
+    sig = _signal(net)
+    c = _level_search(sig, alpha)
     if c == _EMPTY_LEVEL:
         regions = [[] for _ in net.nodes]
     else:  # level_region(nd, c) for every node, in one superlevel_ends call
-        sig = _signal(net)
         ends = iter(_level_ends(sig.cols.alts, sig.scale, [c])[0].tolist())
         regions = [superlevel_pieces(next(ends)) if nd.r1 > 0.0 else [] for nd in net.nodes]
     fdr, power = selection_asymptotics(regions, net)
@@ -230,7 +246,12 @@ def _pooled(net: NetworkModel, rows):
 
 def pooled_alt_cdf(net: NetworkModel, t):
     """Network-level alternative CDF: (1/r1*) sum q r1 F_i."""
-    return _pooled(net, AltColumns(nd.alt for nd in net.nodes).grid(t)[0])
+    return _pooled_cdf(net, AltColumns(nd.alt for nd in net.nodes), t)
+
+
+def _pooled_cdf(net: NetworkModel, alts: AltColumns, t):
+    """pooled_alt_cdf from the columns alts of the network's alternatives."""
+    return _pooled(net, alts.grid(t)[0])
 
 
 def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
@@ -258,7 +279,7 @@ def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
     # which is cheaper than the grid's own masked copy of each row
     skip = int(lo == 0.0)
     cdf_rows, pdf_rows = alts.grid(ts[skip:])
-    rows = [np.concatenate([np.zeros(skip), row]) for row in cdf_rows]
+    rows = [np.concatenate([[0.0], row]) if skip else row for row in cdf_rows]
     pooled = _pooled(net, rows)
     deltas = np.array([float(np.max(np.abs(row - pooled))) for row in rows])
     if lo == 0.0 and any(nd.r1 > 0.0 and nd.alt.kind == GAUSSIAN and nd.alt.mu > 0.0
@@ -286,7 +307,9 @@ def alt_heterogeneity_bounds(net: NetworkModel, alpha: float, deltas,
     beta_star = beta_slope(alpha, r0_star)
     if lipschitz_c >= beta_star:
         return None
-    tau_star = asymptotic_threshold(lambda t: pooled_alt_cdf(net, t), 1.0 / beta_star)
+    # one AltColumns for the grid scan, every largest_crossing pass and p_star
+    alts = AltColumns(nd.alt for nd in net.nodes)
+    tau_star = asymptotic_threshold(lambda t: _pooled_cdf(net, alts, t), 1.0 / beta_star)
     dprime = float(np.dot(q, (r0s + beta_star * (1.0 - r0s)) * deltas)) / (
         beta_star - lipschitz_c
     )
@@ -295,7 +318,7 @@ def alt_heterogeneity_bounds(net: NetworkModel, alpha: float, deltas,
     if dprime >= r_check:
         return None
     fdr_bound = r0_star * alpha + (v_check + r_check) / (r_check - dprime) ** 2 * dprime
-    p_star = float(pooled_alt_cdf(net, tau_star))
+    p_star = float(_pooled_cdf(net, alts, tau_star))
     power_bound = p_star - min(
         float(deltas.max()) / (1.0 - lipschitz_c / beta_star), dprime / r1_star
     )

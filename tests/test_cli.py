@@ -102,8 +102,11 @@ def test_unknown_config_key_runtime_error(tmp_path, capsys, command, text, where
 def test_bench_times_a_sweep_point(capsys):
     assert cli(["bench"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5 and lines[-1].startswith("sweep 2c@3, 40 trials:  ")
-    assert lines[-1].endswith(" s")
+    assert len(lines) == 8 and lines[-1].startswith("sweep 2c@3, 40 trials:  ")
+    # the whole oracle op: optimal_region and the three bound calculators
+    assert [line.split(":")[0] for line in lines[3:7]] == [
+        "optimal region search", "null FDR bound", "alt heterogeneity", "alt bounds"]
+    assert all(line.endswith(" s") for line in lines)
 
 
 def test_unknown_method_runtime_error(tmp_path, capsys):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starfdr as sf
 from starfdr import greedy, netsim, procedures
@@ -298,6 +300,47 @@ class TestTranscript:
         t = res.transcript
         assert t.total_bits == t.bits_up + t.bits_down
         assert t.total_bits == sum(m.bits for m in t.messages)
+
+
+_PROTOCOLS = [
+    lambda s, alpha: sf.run_no_comm(s, alpha),
+    lambda s, alpha: sf.run_pooled_bh(s, alpha),
+    lambda s, alpha: sf.run_proportion_matching(s, alpha, adaptive=True),
+    lambda s, alpha: sf.run_greedy_aggregation(s, alpha, sf.default_epsilon(alpha, s.m)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(protocol=st.sampled_from(_PROTOCOLS), seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(0, 300), min_size=1, max_size=4).filter(any),
+       alpha=st.sampled_from([0.05, 0.2, 0.5]))
+def test_transcript_text_round_trip(protocol, seed, sizes, alpha):
+    net = sf.NetworkModel([sf.NodeModel(1.0 / len(sizes), 0.6, sf.gaussian_alt(3.0))
+                           for _ in sizes])
+    t = protocol(sf.sample_trial(net, sizes, seed=seed), alpha).transcript
+    text = t.serialize()
+    parsed = sf.Transcript.parse(text)
+    assert parsed.serialize() == text
+    assert parsed.messages == t.messages and parsed.rounds == t.rounds
+
+
+def test_transcript_parse_payloads_and_errors():
+    parsed = sf.Transcript.parse("1\tup\t0\t-1\tpvalues,120\t7680\n3\tup\t1\t-1\t-1\t2")
+    assert [m.payload for m in parsed.messages] == [("pvalues", 120), (-1,)]
+    assert parsed.rounds == 3 and parsed.notes == []
+    assert sf.Transcript.parse("").messages == [] and sf.Transcript.parse("").rounds == 0
+    with pytest.raises(ValueError, match="line 2"):
+        sf.Transcript.parse("0\tup\t0\t-1\t5\t3\n0\tup\t1")
+
+
+def test_replay_of_a_parsed_greedy_transcript():
+    s = _trial(seed=16)
+    eps = sf.default_epsilon(0.2, s.m)
+    t = sf.run_greedy_aggregation(s, 0.2, eps).transcript
+    want = sf.replay_greedy_transcript(t, s, eps)
+    got = sf.replay_greedy_transcript(sf.Transcript.parse(t.serialize()), s, eps)
+    assert [o.rejected.tolist() for o in got] == [o.rejected.tolist() for o in want]
+    assert sum(o.k_hat for o in want) > 0
 
 
 def test_make_estimator_variants():

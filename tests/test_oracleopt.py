@@ -163,6 +163,112 @@ class TestSuperlevelEnds:
             assert np.array_equal(table[i, j], one)
 
 
+def _superlevel_ends_reference(alts, levels):
+    """superlevel_ends as it was before AltColumns cached its columns: every
+    call builds the mu and kind columns and their partitions anew."""
+    T = np.asarray(levels, dtype=float)
+    cols = alts if isinstance(alts, distmodel.AltColumns) else distmodel.AltColumns(alts)
+    mu, gauss = cols.mu, cols.gauss
+    x1, x2 = np.ones(T.shape), np.ones(T.shape)
+    outer = np.ones(T.shape, dtype=bool)
+    flat = np.flatnonzero(mu == 0.0)
+    x1[..., flat] = T[..., flat] < 1.0
+    cols = np.flatnonzero(gauss & (mu != 0.0))
+    if cols.size:
+        m = mu[cols]
+        with np.errstate(divide="ignore", over="ignore"):
+            x = sf.normal_tail((np.log(np.maximum(T[..., cols], 0.0)) + 0.5 * m * m) / m)
+        x1[..., cols] = np.where(m > 0.0, x, 0.0)
+        x2[..., cols] = np.where(m > 0.0, 1.0, x)
+    cols = np.flatnonzero(~gauss & (mu != 0.0))
+    if cols.size:
+        t, m = T[..., cols], mu[cols]
+        with np.errstate(all="ignore"):
+            a, b = 1.0 - t, t * m
+            k = a - b * m
+            disc = b * b - a * k
+            qq = -(b + np.copysign(np.sqrt(disc), b))
+            xa, xb = np.arctan2(1.0, qq / a) / np.pi, np.arctan2(1.0, k / qq) / np.pi
+        lo, hi = np.minimum(xa, xb), np.maximum(xa, xb)
+        none = ~(disc > 0.0) | (t <= 0.0)
+        lo[none], hi[none] = 1.0, 1.0
+        xu = np.arctan2(1.0, 0.5 * m) / np.pi
+        unit = t == 1.0
+        x1[..., cols] = np.where(unit, np.where(m > 0.0, xu, 0.0), lo)
+        x2[..., cols] = np.where(unit, np.where(m > 0.0, 1.0, xu), hi)
+        outer[..., cols] = t <= 1.0
+    ends = np.empty(T.shape + (4,))
+    ends[..., 0] = np.where(outer, 0.0, x1)
+    ends[..., 1] = np.where(outer, x1, x2)
+    ends[..., 2] = np.where(outer, x2, 1.0)
+    ends[..., 3] = 1.0
+    return ends
+
+
+_SPECIAL_LEVELS = [0.0, -0.0, -1.0, -1e300, 1.0, 20.0, 1e300, np.inf]
+
+
+@st.composite
+def _superlevel_inputs(draw):
+    """1-6 alternatives of both kinds, mu in [-80, 80] with exact zeros, and
+    levels with 0, negatives, exactly 1, 20, 1e300 and inf."""
+    alts = draw(st.lists(st.builds(
+        sf.AlternativeModel, st.sampled_from([sf.GAUSSIAN, sf.CAUCHY]),
+        st.sampled_from([0.0, -0.0, -80.0, 80.0]) | st.floats(-80.0, 80.0)),
+        min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = np.exp(rng.uniform(-12.0, 12.0, (63, len(alts))))
+    special = rng.random(levels.shape) < 0.3
+    levels[special] = rng.choice(_SPECIAL_LEVELS, int(special.sum()))
+    return alts, levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_superlevel_inputs())
+def test_cached_columns_change_no_bit(inputs):
+    # the same bytes as the uncached reference in each shape, from a fresh
+    # AltColumns per call and from one reused across all of them
+    alts, levels = inputs
+    shared = distmodel.AltColumns(alts)
+    for shape_levels in (levels[0], levels[:1], levels):
+        want = _superlevel_ends_reference(alts, shape_levels).tobytes()
+        assert distmodel.superlevel_ends(alts, shape_levels).tobytes() == want
+        assert distmodel.superlevel_ends(shared, shape_levels).tobytes() == want
+
+
+def test_superlevel_ends_without_alternatives():
+    cols = distmodel.AltColumns([])
+    assert distmodel.superlevel_ends(cols, np.empty(0)).shape == (0, 4)
+    assert distmodel.superlevel_ends(cols, np.empty((63, 0))).shape == (63, 0, 4)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends to the returned list."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("exp, value", [("1", 1000), ("2a", 2)])
+def test_bounds_build_their_columns_once(monkeypatch, exp, value):
+    net = sf.builtin_config(exp).instantiate(value)[0]
+    deltas, lipschitz = sf.measure_alt_heterogeneity(net, 0.2)
+    built = _count_calls(monkeypatch, distmodel.AltColumns, "__init__")
+    sf.alt_heterogeneity_bounds(net, 0.2, deltas, lipschitz)
+    assert len(built) == 1
+
+
+def test_optimal_region_builds_its_signal_once(monkeypatch):
+    signals = _count_calls(monkeypatch, oracleopt, "_signal")
+    sf.optimal_region(sf.builtin_config("2c").instantiate(3)[0], 0.2)
+    assert len(signals) == 1
+
+
 def _scalar_search(feasible):
     """c_alpha_search as a plain loop, one feasibility test per level."""
     if feasible(0.0):
