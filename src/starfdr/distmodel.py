@@ -417,8 +417,9 @@ class LabeledSample:
     An immutable value: construction copies each node's p-values into a
     read-only 1-D float array and its labels into a read-only bool array
     of the same length, from arrays or lists alike, and raises ValueError
-    on a mismatch.  A sample hashes and compares by identity, so protocol
-    calls on one sample can share its per-node work (netsim)."""
+    on a mismatch or on a p-value that is NaN or outside [0, 1].  A sample
+    hashes and compares by identity, so protocol calls on one sample can
+    share its per-node work (netsim)."""
 
     pvalues: tuple  # per node, a read-only float array
     null_labels: tuple  # per node, a read-only bool array, True = truly null
@@ -432,6 +433,9 @@ class LabeledSample:
             if p.ndim != 1 or lab.shape != p.shape:
                 raise ValueError(f"node {i}: p-values of shape {p.shape} against "
                                  f"null labels of shape {lab.shape}")
+            # min and max are NaN when any p-value is, and NaN fails both
+            if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+                raise ValueError(f"node {i}: p-values must lie in [0, 1] and not be NaN")
         object.__setattr__(self, "pvalues", pvalues)
         object.__setattr__(self, "null_labels", labels)
 

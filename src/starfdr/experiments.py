@@ -219,8 +219,7 @@ class _TrialBlock:
         self.N = [N[:, c] for c in cols]
         self.S = [np.sort(p, axis=1) for p in self.P]
         self.r0 = usable_estimates(np.column_stack([
-            row_estimates(choice, node_est, p, srt, i)[0]
-            for i, (p, srt) in enumerate(zip(self.P, self.S))
+            row_estimates(choice, node_est, srt, i)[0] for i, srt in enumerate(self.S)
         ]))
         self.sizes = sizes
         self.m1 = np.count_nonzero(~N, axis=1)
@@ -231,7 +230,7 @@ class _TrialBlock:
         """The pooled rows: (p-values, sorted, null labels, estimates)."""
         P, N = self._rows
         srt = np.sort(P, axis=1)
-        return P, srt, N, row_estimates(self._choice, self._pooled_est, P, srt, 0)[0]
+        return P, srt, N, row_estimates(self._choice, self._pooled_est, srt, 0)[0]
 
 
 def _bh_rv(P, S, N, levels):

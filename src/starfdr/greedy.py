@@ -35,9 +35,10 @@ class IntervalGrid:
 
 
 def build_grid(epsilon: float, q_hat, r0_hat) -> IntervalGrid:
-    """Cell length L_i = epsilon / (q_i * r0_i) per node."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    """Cell length L_i = epsilon / (q_i * r0_i) per node; epsilon must lie
+    in (0, inf)."""
+    if not 0.0 < epsilon < np.inf:  # NaN fails both comparisons
+        raise ValueError("epsilon must be positive and finite")
     q = np.asarray(q_hat, dtype=float)
     r0 = np.asarray(r0_hat, dtype=float)
     if np.any(q <= 0.0) or np.any(r0 <= 0.0):

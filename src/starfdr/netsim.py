@@ -39,7 +39,6 @@ from .procedures import (
     bh_threshold,
     confusion_metrics,
     estimate_levels,
-    sorted_bh,
     usable_estimates,
 )
 
@@ -146,7 +145,8 @@ def make_estimator(choice, net=None):
     """Resolve an estimator spec into a callable (pvalues, node_index).
 
     choice is "spacing", "storey", "oracle" (needs net for the true r0),
-    or already a callable.
+    or already a callable, which must be hashable (every function is): the
+    protocols key their sample slot by it.
     """
     if callable(choice):
         return choice
@@ -163,22 +163,22 @@ def make_estimator(choice, net=None):
     raise ValueError(f"unknown estimator choice {choice!r}")
 
 
-def row_estimates(choice, est, rows, sorted_rows, i):
+def row_estimates(choice, est, sorted_rows, i):
     """Node i's null-proportion estimate on each row (trial) of its (t, m_i)
-    p-values, NaN where the estimator failed, and what it raised there:
-    (values, {row: exception}).  est is make_estimator's callable for
-    choice.  "spacing" reads sorted_rows, the rows sorted ascending, through
-    spacing_values; any other estimator gets each row of rows as it is, and
-    sorted_rows may be None."""
+    p-values sorted ascending, NaN where the estimator failed, and what it
+    raised there: (values, {row: exception}).  est is make_estimator's
+    callable for choice.  "spacing" reads the rows at once through
+    spacing_values; any other estimator gets each sorted row in turn (the
+    Storey and oracle values do not depend on the order)."""
     if choice == "spacing":
         try:
-            values = spacing_values(sorted_rows, default_spacing_schedule(rows.shape[1]))
+            values = spacing_values(sorted_rows, default_spacing_schedule(sorted_rows.shape[1]))
         except ValueError as exc:  # too few p-values for the schedule
-            return np.full(len(rows), np.nan), dict.fromkeys(range(len(rows)), exc)
+            return np.full(len(sorted_rows), np.nan), dict.fromkeys(range(len(sorted_rows)), exc)
         tied = np.flatnonzero(np.isnan(values)).tolist()
         return values, {r: DegenerateSpacingError() for r in tied}
-    values, failures = np.full(len(rows), np.nan), {}
-    for r, p in enumerate(rows):
+    values, failures = np.full(len(sorted_rows), np.nan), {}
+    for r, p in enumerate(sorted_rows):
         try:
             values[r] = est(p, i).value
         except ESTIMATOR_FAILURES as exc:  # a failed node must not abort the network
@@ -198,75 +198,61 @@ def _sort_in_place(a: np.ndarray) -> np.ndarray:
 class _NodeWork:
     """What protocol calls on one sample and estimator share: the (1, n)
     row estimate_levels takes, NaN for a failed or zero estimate; the
-    ascending copies of the nodes' p-values, which spacing and BH read
-    (None for a callable estimator, whose BH sorts each node); the
-    transcript notes of the estimates; and greedy's cells at the last
-    epsilon asked for, as (epsilon, cells) with cells as from
+    ascending copies of the nodes' p-values, which every estimator and BH
+    read; the transcript notes of the estimates; and greedy's cells at the
+    last epsilon asked for, as (epsilon, cells) with cells as from
     _greedy_cells, or None before any.  Arrays are read-only and notes a
     tuple, so that one value can serve several calls."""
 
     r0: np.ndarray
-    sorted_pvalues: tuple | None
+    sorted_pvalues: tuple
     notes: tuple
     cells: tuple | None = None
 
 
-def _estimates(pvalues, sorted_pvalues, estimator, name="node {}") -> _NodeWork:
-    """row_estimates of each node's p-values, with a note for each failed
-    or zero estimate, under name.format(i).  sorted_pvalues holds the
-    arrays of pvalues sorted ascending, which the spacing estimator reads,
-    or None; any other estimator reads pvalues as they are."""
+def _estimates(sorted_pvalues, estimator, name="node {}") -> _NodeWork:
+    """row_estimates of each node's ascending p-values, made read-only
+    first, with a note for each failed or zero estimate, under
+    name.format(i)."""
     est = make_estimator(estimator)
-    r0 = np.full((1, len(pvalues)), np.nan)
+    r0 = np.full((1, len(sorted_pvalues)), np.nan)
     notes = []
-    for i, p in enumerate(pvalues):
-        srt = None if sorted_pvalues is None else sorted_pvalues[i][None]
-        r0[:, i], failures = row_estimates(estimator, est, p[None], srt, i)
+    for i, srt in enumerate(sorted_pvalues):
+        srt.flags.writeable = False
+        r0[:, i], failures = row_estimates(estimator, est, srt[None], i)
         notes += [f"{name.format(i)}: estimator failed: {exc}" for exc in failures.values()]
     usable = usable_estimates(r0)
     for i in np.flatnonzero(np.isnan(usable[0]) & ~np.isnan(r0[0])):
         notes.append(f"{name.format(i)}: an estimate of 0 is treated as failed")
     usable.flags.writeable = False
-    if sorted_pvalues is not None:
-        for srt in sorted_pvalues:
-            srt.flags.writeable = False
-        sorted_pvalues = tuple(sorted_pvalues)
-    return _NodeWork(usable, sorted_pvalues, tuple(notes))
+    return _NodeWork(usable, tuple(sorted_pvalues), tuple(notes))
 
 
 @functools.lru_cache(maxsize=1)
-def _named_estimates(sample: LabeledSample, estimator: str) -> _NodeWork:
-    """_estimates of sample's nodes under a named estimator, each node
-    sorted once, for BH and for spacing, kept for the next call.  One slot:
-    successive protocol calls on one sample (a run and its replay, or each
-    protocol in turn) share it, only the last sample's sorted copies and
-    cells stay in memory, and the sample, immutable and keyed by identity,
-    cannot change under it."""
-    return _estimates(sample.pvalues, [_sort_in_place(p.copy()) for p in sample.pvalues], estimator)
+def _sample_work(sample: LabeledSample, estimator) -> _NodeWork:
+    """_estimates of sample's nodes, each node sorted once, kept for the
+    next call.  The estimator is a name or a callable, keyed by identity.
+    One slot: successive protocol calls on one sample (a run and its
+    replay, or each protocol in turn) share it, only the last sample's
+    sorted copies and cells stay in memory, and the sample, immutable and
+    keyed by identity, cannot change under it."""
+    return _estimates([_sort_in_place(p.copy()) for p in sample.pvalues], estimator)
 
 
 def _node_work(sample: LabeledSample, estimator, transcript: Transcript) -> _NodeWork:
-    """The _NodeWork of sample under estimator, its notes added to
-    transcript.  A named estimator's comes from the slot of
-    _named_estimates; a callable estimator runs afresh on every call."""
-    if callable(estimator):
-        work = _estimates(sample.pvalues, None, estimator)
-    else:
-        work = _named_estimates(sample, estimator)
+    """The _NodeWork of sample under estimator, from the slot of
+    _sample_work, its notes added to transcript."""
+    work = _sample_work(sample, estimator)
     transcript.notes.extend(work.notes)
     return work
 
 
 def _local_bh(pvalues, sorted_pvalues, levels) -> list:
-    """Per-node outcomes of BH at each node's level; a NaN level rejects
-    nothing.  BH reads the slot's sorted copies, or sorts each node itself
-    under a callable estimator (sorted_pvalues is None)."""
-    if sorted_pvalues is not None:
-        return [sorted_bh(*node) for node in zip(pvalues, sorted_pvalues, levels)]
-    return [
-        _empty_outcome() if np.isnan(level) else bh_procedure(p, float(level))
-        for p, level in zip(pvalues, levels)
-    ]
+    """Per-node outcomes of BH at each node's level on the slot's sorted
+    copies.  A NaN level rejects nothing, and so does a level of 0, which a
+    subnormal alpha gives prop-match when its slope overflows."""
+    return [bh_procedure(p, level, srt) if level > 0.0 else _empty_outcome()
+            for p, srt, level in zip(pvalues, sorted_pvalues, levels)]
 
 
 def _finish(outcomes, sample, transcript) -> ProtocolResult:
@@ -296,18 +282,12 @@ def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> P
     if sample.m == 0:
         raise ValueError("sample is empty")
     transcript = Transcript(rounds=1)
-    pooled = np.concatenate(sample.pvalues)
     for i, mi in enumerate(sample.m_per_node):
         transcript.add(1, UP, i, CENTER, ("pvalues", int(mi)), PVALUE_BITS * int(mi))
-    # the pool is this call's own array: a named estimator reads it sorted
-    # (Storey's count of p > lambda does not depend on the order), so it is
-    # sorted in place; a callable reads it in concatenation order and BH
-    # sorts a copy
-    srt = None if callable(estimator) else _sort_in_place(pooled)
-    work = _estimates([pooled], None if srt is None else [srt], estimator, "pool")
+    # the pool is this call's own array, so it is sorted in place
+    srt = _sort_in_place(np.concatenate(sample.pvalues))
+    work = _estimates([srt], estimator, "pool")
     transcript.notes.extend(work.notes)
-    if srt is None:
-        srt = _sort_in_place(pooled.copy())
     level = estimate_levels(work.r0, [sample.m], alpha).pooled_bh[0]
     k, tau = bh_threshold(srt[None], level)
     idx = [np.flatnonzero(p <= tau[0]) for p in sample.pvalues]  # none where tau = -inf
@@ -503,13 +483,12 @@ def replay_greedy_transcript(
 ):
     """Re-apply a greedy transcript's center decisions to the same sample.
 
-    The per-node cell rankings are those the run used, read from the slot
-    for a named estimator and recomputed for a callable one.  Every UP
-    message from round 1 on must carry the count the node reports next
-    (-1 once exhausted), and each center->node grant rejects that node's
-    next-best cell.  Raises ValueError, naming the node and round, on the
-    first message the sample, epsilon and estimator do not reproduce.
-    Returns the per-node RejectionOutcome list.
+    The per-node cell rankings are those the run used, read from the
+    slot.  Every UP message from round 1 on must carry the count the node
+    reports next (-1 once exhausted), and each center->node grant rejects
+    that node's next-best cell.  Raises ValueError, naming the node and
+    round, on the first message the sample, epsilon and estimator do not
+    reproduce.  Returns the per-node RejectionOutcome list.
     """
     nodes = _greedy_cells(sample, epsilon, _node_work(sample, estimator, Transcript()))
     cursor = [0] * len(nodes)

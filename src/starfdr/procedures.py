@@ -86,26 +86,23 @@ def bh_threshold(sorted_rows, levels):
     return k, np.where(k > 0, np.asarray(levels, dtype=float) * k / m, -np.inf)
 
 
-def sorted_bh(pvalues: np.ndarray, sorted_pvalues: np.ndarray, level: float) -> RejectionOutcome:
-    """BH at level on the p-value array pvalues, given its ascending copy;
-    a NaN level rejects nothing.  The one-row bh_threshold."""
-    k = int(bh_step_up(sorted_pvalues[None], [level])[0])
-    if k == 0:
-        return _empty_outcome()
-    tau = level * k / sorted_pvalues.size
-    return RejectionOutcome(np.flatnonzero(pvalues <= tau), k, float(tau))
-
-
-def bh_procedure(pvalues, alpha: float) -> RejectionOutcome:
+def bh_procedure(pvalues, alpha: float, sorted_pvalues=None) -> RejectionOutcome:
     """Step-up BH: reject the k largest-feasible smallest p-values.
 
     k_hat is the largest k with P_(k) <= alpha*k/m; everything at or below
-    tau = alpha*k_hat/m is rejected (ties at the threshold included).
+    tau = alpha*k_hat/m is rejected (ties at the threshold included).  k_hat
+    comes from sorted_pvalues, the ascending copy of pvalues, when given,
+    and from a sort of pvalues otherwise: the one-row bh_threshold.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     p = np.asarray(pvalues, dtype=float)
-    return sorted_bh(p, np.sort(p), alpha)
+    srt = np.sort(p) if sorted_pvalues is None else sorted_pvalues
+    k = int(bh_step_up(srt[None], [alpha])[0])
+    if k == 0:
+        return _empty_outcome()
+    tau = alpha * k / srt.size
+    return RejectionOutcome(np.flatnonzero(p <= tau), k, float(tau))
 
 
 def adaptive_bh(pvalues, alpha: float, estimate: NullProportionEstimate) -> RejectionOutcome:
@@ -198,17 +195,18 @@ def estimate_levels(estimates, sizes, alpha: float, adaptive: bool = False) -> L
     m0 = np.floor(np.where(failed, 1.0, r0) * sizes + 0.5).astype(int)
     m0_total = m0.sum(axis=1)
     m = int(sizes.sum())
-    # alpha over a tiny r0 or r0_star = 0 gives the full level
+    # alpha over a tiny r0 or r0_star = 0 gives the full level, and a
+    # subnormal alpha an infinite slope, so a matched level of 0
     with np.errstate(divide="ignore", over="ignore"):
         no_comm = np.minimum(alpha / r0, 1.0)
         pooled = np.minimum(alpha / np.where(failed, 1.0, r0), 1.0)
         r0_star = np.minimum(m0_total / max(m, 1), R0_STAR_CLAMP)
         target = np.minimum(alpha / r0_star, 1.0) if adaptive else np.full(len(r0), alpha)
-    # the formulas of beta_slope and local_alpha without their checks:
-    # target lies in (0, 1], r0_star and r0_local in [0, 1), so beta >= 1
-    beta = _slope(target, r0_star)
-    r0_local = np.minimum(m0 / np.maximum(sizes, 1), R0_STAR_CLAMP)
-    matched = np.minimum(_matched(beta[:, None], r0_local), 1.0)
+        # the formulas of beta_slope and local_alpha without their checks:
+        # target lies in (0, 1], r0_star and r0_local in [0, 1), so beta >= 1
+        beta = _slope(target, r0_star)
+        r0_local = np.minimum(m0 / np.maximum(sizes, 1), R0_STAR_CLAMP)
+        matched = np.minimum(_matched(beta[:, None], r0_local), 1.0)
     matched[m0 >= sizes] = np.nan
     return Levels(r0, no_comm, pooled, m0, r0_star, beta, matched)
 

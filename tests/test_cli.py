@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from starfdr import cli as cli_module
 from starfdr.cli import cli
 from starfdr.experiments import CSV_HEADER
 
@@ -107,6 +108,17 @@ def test_bench_times_a_sweep_point(capsys):
     assert [line.split(":")[0] for line in lines[3:7]] == [
         "optimal region search", "null FDR bound", "alt heterogeneity", "alt bounds"]
     assert all(line.endswith(" s") for line in lines)
+
+
+def test_bench_alt_bounds_do_their_work(monkeypatch, capsys):
+    """The bench times alt_heterogeneity_bounds on a network where it
+    computes both bounds, not on one where it returns None early."""
+    got = []
+    real = cli_module.alt_heterogeneity_bounds
+    monkeypatch.setattr(cli_module, "alt_heterogeneity_bounds",
+                        lambda *a: got.append(real(*a)) or got[-1])
+    assert cli(["bench"]) == 0
+    assert len(got) == 1 and got[0] is not None
 
 
 def test_unknown_method_runtime_error(tmp_path, capsys):

@@ -359,6 +359,11 @@ class TestLabeledSample:
         with pytest.raises(ValueError):
             sf.LabeledSample(pvalues, labels)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 1e-15, np.inf])
+    def test_bad_pvalue_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"node 1: p-values must lie in \[0, 1\]"):
+            sf.LabeledSample([[0.1, 0.2], [0.3, bad]], [[True, False], [True, True]])
+
 
 EPS, TOP = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg
 

@@ -485,7 +485,7 @@ def test_protocol_calls_on_a_sample_sort_each_node_once(monkeypatch):
     pool on every call, and a fresh sample is sorted again.  A sort is a
     call of np.sort (bh_procedure's) or of netsim._sort_in_place, through
     which the protocol layer sorts."""
-    netsim._named_estimates.cache_clear()
+    netsim._sample_work.cache_clear()
     s, fresh = _edge_sample(), _edge_sample()
     calls = []
     real_sort, real_in_place = np.sort, netsim._sort_in_place
@@ -537,29 +537,83 @@ def test_slot_serves_the_calls_of_one_op():
     its replay on one sample) misses the slot once and hits it three
     times; the next op, on another sample, misses again.  The slot then
     holds the op's estimates and greedy's cells at its epsilon, one entry
-    per node.  A callable estimator and the pool never use the slot."""
-    netsim._named_estimates.cache_clear()
+    per node.  A callable estimator shares the slot, keyed by identity: its
+    first call on the sample misses and replaces the named entry, later
+    calls hit, and it sees the same estimates and sorted copies.  The pool
+    never uses the slot."""
+    netsim._sample_work.cache_clear()
     for seed in (30, 31):
         s = _trial(seed=seed)
         eps = sf.default_epsilon(0.2, s.m)
-        before = netsim._named_estimates.cache_info()
+        before = netsim._sample_work.cache_info()
         sf.run_no_comm(s, 0.2)
         sf.run_pooled_bh(s, 0.2)
         sf.run_proportion_matching(s, 0.2, adaptive=True)
         res = sf.run_greedy_aggregation(s, 0.2, eps)
         sf.replay_greedy_transcript(res.transcript, s, eps)
-        after = netsim._named_estimates.cache_info()
+        after = netsim._sample_work.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (3, 1)
-        work = netsim._named_estimates(s, "spacing")  # one more hit, to read the slot
+        work = netsim._sample_work(s, "spacing")  # one more hit, to read the slot
         assert work.r0.shape == (1, s.n_nodes) and len(work.sorted_pvalues) == s.n_nodes
         assert work.cells[0] == eps and len(work.cells[1]) == s.n_nodes
-    cells = work.cells
-    after = netsim._named_estimates.cache_info()
     est = sf.make_estimator("spacing")
+    before = netsim._sample_work.cache_info()
     sf.run_no_comm(s, 0.2, est)
-    sf.run_greedy_aggregation(s, 0.2, eps, est)
-    assert netsim._named_estimates.cache_info() == after
-    assert work.cells is cells
+    sf.run_pooled_bh(s, 0.2, est)
+    res = sf.run_greedy_aggregation(s, 0.2, eps, est)
+    sf.replay_greedy_transcript(res.transcript, s, eps, est)
+    after = netsim._sample_work.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 1)
+    slot = netsim._sample_work(s, est)
+    assert slot is not work and slot.cells[0] == eps
+    np.testing.assert_array_equal(slot.r0, work.r0)
+    for mine, named in zip(slot.sorted_pvalues, work.sorted_pvalues):
+        np.testing.assert_array_equal(mine, named)
+
+
+@pytest.mark.parametrize("sample", [_trial(seed=25), _edge_sample()], ids=["trial", "edge_nodes"])
+@pytest.mark.parametrize("name", ["spacing", "storey"])
+def test_name_equals_its_callable(sample, name):
+    """An estimator name and make_estimator's callable for it give the same
+    rejections, transcript text, notes and termination on all four
+    protocols, and the same greedy replay."""
+    est = sf.make_estimator(name)
+    eps = sf.default_epsilon(0.2, sample.m)
+    runs = [
+        lambda e: sf.run_no_comm(sample, 0.2, e),
+        lambda e: sf.run_pooled_bh(sample, 0.2, e),
+        lambda e: sf.run_proportion_matching(sample, 0.2, e, adaptive=True),
+        lambda e: sf.run_greedy_aggregation(sample, 0.2, eps, e),
+    ]
+    for run in runs:
+        want, got = run(name), run(est)
+        _assert_same(got, want.outcomes, want.transcript.serialize(), want.transcript.notes,
+                     sample)
+        assert got.transcript.termination == want.transcript.termination
+    replays = [sf.replay_greedy_transcript(want.transcript, sample, eps, e) for e in (name, est)]
+    assert [o.rejected.tolist() for o in replays[0]] == [o.rejected.tolist() for o in replays[1]]
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_greedy_rejects_nan_and_inf_epsilon(epsilon):
+    """A NaN epsilon would reject nothing without a word, and an infinite
+    one would give no node any cells: every greedy entry point raises."""
+    s = _trial(seed=26)
+    ts = sf.run_greedy_aggregation(s, 0.2, sf.default_epsilon(0.2, s.m)).transcript
+    for run in (lambda: sf.run_greedy_aggregation(s, 0.2, epsilon),
+                lambda: sf.replay_greedy_transcript(ts, s, epsilon),
+                lambda: sf.batch_equivalent_selection(s, 0.2, epsilon)):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            run()
+
+
+def test_subnormal_alpha_rejects_nothing():
+    """At the smallest subnormal alpha, prop-match's slope overflows and
+    its levels are 0: the protocols reject nothing instead of raising."""
+    s = _trial(seed=27)
+    for run in (sf.run_no_comm, sf.run_proportion_matching,
+                lambda s, a: sf.run_proportion_matching(s, a, adaptive=True)):
+        assert run(s, 5e-324).metrics.R == 0
 
 
 def _count_binning(monkeypatch):
@@ -573,18 +627,18 @@ def _count_binning(monkeypatch):
 def test_greedy_bins_each_node_once_for_its_replay_and_batch(monkeypatch):
     """A greedy run bins each node with cells once; its replay and batch
     selection on the same sample and epsilon bin nothing.  A new epsilon,
-    a new sample or a callable estimator bins again, and the cached cell
-    arrays are read-only."""
-    netsim._named_estimates.cache_clear()
+    a new sample or a new callable estimator (each make_estimator call
+    makes one) bins again, and the cached cell arrays are read-only."""
+    netsim._sample_work.cache_clear()
     s, other = _edge_sample(), _edge_sample()
     eps = sf.default_epsilon(0.2, s.m)
-    K = greedy.estimate_grid(eps, s.m_per_node, netsim._named_estimates(s, "spacing").r0[0]).counts
+    K = greedy.estimate_grid(eps, s.m_per_node, netsim._sample_work(s, "spacing").r0[0]).counts
     with_cells = np.count_nonzero(K)
     assert 0 < with_cells < s.n_nodes  # the tied and m = 2 nodes have no cells
     calls = _count_binning(monkeypatch)
     res = sf.run_greedy_aggregation(s, 0.2, eps)
     assert len(calls) == with_cells
-    j = netsim._named_estimates(s, "spacing").cells[1][0][0]
+    j = netsim._sample_work(s, "spacing").cells[1][0][0]
     with pytest.raises(ValueError, match="read-only"):
         j[0] = 0
     calls.clear()
@@ -601,25 +655,33 @@ def test_greedy_bins_each_node_once_for_its_replay_and_batch(monkeypatch):
         assert len(calls) == with_cells
 
 
-def test_callable_estimator_gets_unsorted_pvalues():
+def test_callable_estimator_gets_ascending_copies():
+    """A callable estimator gets each node's read-only ascending copy, a
+    view of the one BH reads from the slot, in the first protocol call on
+    the sample; later calls read the slot and do not call it.  Pooled BH
+    gives it the pool, sorted in place, on every call."""
+    netsim._sample_work.cache_clear()
     s = _trial(seed=24)
     seen = {}
 
     def est(p, i):
-        seen[i] = np.array(p)
+        seen[i] = p
         return sf.storey_estimate(p)
 
     eps = sf.default_epsilon(0.2, s.m)
-    for run in (sf.run_no_comm, sf.run_proportion_matching,
-                lambda s, a, e: sf.run_greedy_aggregation(s, a, eps, e)):
-        seen.clear()
-        run(s, 0.2, est)
-        assert seen.keys() == {0, 1}
-        for i, p in enumerate(s.pvalues):
-            np.testing.assert_array_equal(seen[i], p)
+    sf.run_no_comm(s, 0.2, est)
+    assert seen.keys() == {0, 1}
+    work = netsim._sample_work(s, est)
+    for i, p in enumerate(s.pvalues):
+        np.testing.assert_array_equal(seen[i], np.sort(p))
+        assert np.shares_memory(seen[i], work.sorted_pvalues[i]) and not seen[i].flags.writeable
     seen.clear()
-    sf.run_pooled_bh(s, 0.2, est)
-    np.testing.assert_array_equal(seen[0], np.concatenate(s.pvalues))
+    sf.run_proportion_matching(s, 0.2, est)
+    sf.run_greedy_aggregation(s, 0.2, eps, est)
+    assert seen == {}
+    for _ in range(2):
+        sf.run_pooled_bh(s, 0.2, est)
+        np.testing.assert_array_equal(seen.pop(0), np.sort(np.concatenate(s.pvalues)))
 
 
 @pytest.mark.parametrize("sample", [_edge_sample(), _all_zero_storey_sample()],
@@ -627,15 +689,15 @@ def test_callable_estimator_gets_unsorted_pvalues():
 @pytest.mark.parametrize("estimator", _ESTIMATORS, ids=["spacing", "storey", "oracle", "callable"])
 def test_batch_selection_bins_once(sample, estimator, monkeypatch):
     """batch_equivalent_selection returns the protocol's IntervalSelection.
-    After the run it bins each node with cells once under a callable
-    estimator, and nothing under a named one, whose cells the slot keeps."""
+    After the run it bins nothing, under a callable estimator as under a
+    named one: the slot keeps the run's cells."""
     eps = sf.default_epsilon(0.2, sample.m)
     want = sf.run_greedy_aggregation(sample, 0.2, eps, estimator).selection
     r0 = netsim._node_work(sample, estimator, netsim.Transcript()).r0[0]
     grid = greedy.estimate_grid(eps, sample.m_per_node, r0)
     calls = _count_binning(monkeypatch)
     assert sf.batch_equivalent_selection(sample, 0.2, eps, estimator) == want
-    assert len(calls) == (np.count_nonzero(grid.counts) if callable(estimator) else 0)
+    assert calls == []
     # against the batch selector on densities binned afresh
     dens = [sf.CellDensity(i, cell, c, c / (eps * sample.m))
             for i, (p, L, K) in enumerate(zip(sample.pvalues, grid.lengths, grid.counts)) if K

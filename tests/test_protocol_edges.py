@@ -102,11 +102,11 @@ def test_edge_node(case, estimator):
     ts = _greedy_transcript(s, estimator)
     got = []
     for entry in _ENTRIES:
-        netsim._named_estimates.cache_clear()
+        netsim._sample_work.cache_clear()
         first = _run(entry, s, estimator, ts)  # fills the slot
-        before = netsim._named_estimates.cache_info()
+        before = netsim._sample_work.cache_info()
         again = _run(entry, s, estimator, ts)  # reads it
-        after = netsim._named_estimates.cache_info()
+        after = netsim._sample_work.cache_info()
         assert again == first, entry
         # the pool never uses the slot; every other entry point reads it once
         hits = 0 if entry == "pooled_bh" else 1

@@ -127,6 +127,34 @@ def test_trial_zero_cross_check(monkeypatch):
         sf.run_experiment(_tiny(trials=3))
 
 
+def test_trial_zero_runs_the_slot_path(monkeypatch):
+    """The trial-0 cross-check runs the protocols' slot path: one
+    _simulate_point call misses the slot once and hits it twice (no_comm,
+    then prop_match and greedy), and every BH it runs at a node reads the
+    slot's ascending copy of that node."""
+    netsim._sample_work.cache_clear()
+    works, copies = [], []
+    real_work, real_bh = netsim._sample_work, netsim.bh_procedure
+
+    def work(*args):
+        works.append(real_work(*args))
+        return works[-1]
+
+    def bh(p, alpha, sorted_pvalues=None):
+        copies.append(sorted_pvalues)
+        return real_bh(p, alpha, sorted_pvalues)
+
+    monkeypatch.setattr(netsim, "_sample_work", work)
+    monkeypatch.setattr(netsim, "bh_procedure", bh)
+    config = _tiny(trials=3)
+    experiments._simulate_point(config, 0, config.instantiate(400), SIM)
+    info = real_work.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    assert len(works) == 3 and works[0] is works[1] is works[2]
+    assert len(copies) >= config.n_nodes
+    assert all(any(c is srt for srt in works[0].sorted_pvalues) for c in copies)
+
+
 def test_row_cores_match_single_vector():
     rng = np.random.default_rng(5)
     rows = np.sort(rng.uniform(0, 1, (6, 40)) ** 3, axis=1)
