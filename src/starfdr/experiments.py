@@ -28,7 +28,6 @@ from .distmodel import (
     sample_rows,
     sample_trial,
 )
-from .estimators import oracle_estimate
 from .greedy import default_epsilon, estimate_grid, greedy_rows, row_cells
 from .netsim import (
     greedy_cost,
@@ -198,39 +197,31 @@ class ResultRow:
 BLOCK_ELEMENTS = 2**17
 
 
-def _point_estimators(choice, net):
-    """(node estimator, pooled estimator) of one sweep point; the pooled
-    oracle estimate is the network's r0*."""
-    est = make_estimator(choice, net)
-    if choice == "oracle":
-        return est, lambda _p, _i: oracle_estimate(net.r0_star)
-    return est, est
-
-
 class _TrialBlock:
     """Consecutive trials of one sweep point: sample_rows' (t, m) rows, and
     per node (t, m_i) views of the p-values and null labels, the sorted
     p-values and one estimate per row (r0, (t, n), NaN where the estimator
     failed or gave 0, by usable_estimates), each computed once."""
 
-    def __init__(self, P, N, sizes, choice, node_est, pooled_est):
+    def __init__(self, P, N, sizes, choice, est):
         cols = node_columns(sizes)
         self.P = [P[:, c] for c in cols]
         self.N = [N[:, c] for c in cols]
         self.S = [np.sort(p, axis=1) for p in self.P]
         self.r0 = usable_estimates(np.column_stack([
-            row_estimates(choice, node_est, srt, i)[0] for i, srt in enumerate(self.S)
+            row_estimates(choice, est, srt, i)[0] for i, srt in enumerate(self.S)
         ]))
         self.sizes = sizes
         self.m1 = np.count_nonzero(~N, axis=1)
         self._rows = P, N
-        self._choice, self._pooled_est = choice, pooled_est
+        self._choice, self._est = choice, est
 
     def pooled(self):
-        """The pooled rows: (p-values, sorted, null labels, estimates)."""
+        """The pooled rows: (p-values, sorted, null labels, estimates), the
+        pool estimated at node index None."""
         P, N = self._rows
         srt = np.sort(P, axis=1)
-        return P, srt, N, row_estimates(self._choice, self._pooled_est, srt, 0)[0]
+        return P, srt, N, row_estimates(self._choice, self._est, srt, None)[0]
 
 
 def _bh_rv(P, S, N, levels):
@@ -314,16 +305,16 @@ _BATCHED = {
 }
 
 
-def _protocol_record(method, sample, alpha, eps, node_est, pooled_est):
+def _protocol_record(method, sample, alpha, eps, est):
     """(fdp, tdp, bits_up, bits_down, rounds) of the transcript protocol."""
     if method == "no_comm":
-        res = run_no_comm(sample, alpha, node_est)
+        res = run_no_comm(sample, alpha, est)
     elif method == "pooled_bh":
-        res = run_pooled_bh(sample, alpha, pooled_est)
+        res = run_pooled_bh(sample, alpha, est)
     elif method == "prop_match":
-        res = run_proportion_matching(sample, alpha, node_est, adaptive=True)
+        res = run_proportion_matching(sample, alpha, est, adaptive=True)
     else:
-        res = run_greedy_aggregation(sample, alpha, eps, node_est)
+        res = run_greedy_aggregation(sample, alpha, eps, est)
     ts = res.transcript
     return (res.metrics.fdp, res.metrics.tdp, ts.bits_up, ts.bits_down, ts.rounds)
 
@@ -340,14 +331,16 @@ def _simulate_point(config, s_idx, point, methods):
     trial, so their cost columns are taken from that run.
     """
     net, sizes, dep, eps, jitter = point
-    node_est, pooled_est = _point_estimators(config.estimator, net)
+    # the resolved callable, not the name, so that the cross-check runs the
+    # protocols on the engine's own estimator
+    est = make_estimator(config.estimator, net)
 
     def rng(t):
         return np.random.default_rng(np.random.SeedSequence([config.seed, s_idx, t]))
 
     trial0 = sample_trial(net, sizes, dep, jitter, seed=rng(0))
     reference = {
-        mth: _protocol_record(mth, trial0, config.alpha, eps, node_est, pooled_est)
+        mth: _protocol_record(mth, trial0, config.alpha, eps, est)
         for mth in methods
     }
     per_block = max(1, BLOCK_ELEMENTS // int(sizes.sum()))
@@ -355,7 +348,7 @@ def _simulate_point(config, s_idx, point, methods):
     for start in range(0, config.trials, per_block):
         rngs = [rng(t) for t in range(start, min(start + per_block, config.trials))]
         P, N = sample_rows(net, sizes, dep, jitter, rngs)
-        block = _TrialBlock(P, N, sizes, config.estimator, node_est, pooled_est)
+        block = _TrialBlock(P, N, sizes, config.estimator, est)
         stop = start + len(rngs)
         for mth in methods:
             out[mth][start:stop] = _BATCHED[mth](block, config.alpha, eps, reference[mth][2:])

@@ -142,13 +142,21 @@ class ProtocolResult:
 
 
 def make_estimator(choice, net=None):
-    """Resolve an estimator spec into a callable (pvalues, node_index).
+    """Resolve an estimator spec into a callable (pvalues, i), where i is
+    the index of the node whose p-values these are, or None for the pool.
 
-    choice is "spacing", "storey", "oracle" (needs net for the true r0),
-    or already a callable, which must be hashable (every function is): the
-    protocols key their sample slot by it.
+    choice is "spacing", "storey", "oracle" (needs net: a node's true r0,
+    and r0* for the pool), or already a callable, which must be hashable
+    (every function, lambda and functools.partial is): the protocols key
+    their sample slot by it, so an unhashable one raises TypeError here.
     """
     if callable(choice):
+        try:
+            hash(choice)
+        except TypeError:
+            raise TypeError(f"estimator {choice!r} is unhashable: the protocols key their "
+                            "sample slot by the estimator, so a callable one must hash, "
+                            "as a function or a frozen dataclass does") from None
         return choice
     if choice == "spacing":
         def est(p, _i):
@@ -159,17 +167,17 @@ def make_estimator(choice, net=None):
     if choice == "oracle":
         if net is None:
             raise ValueError("oracle estimator needs the generative network model")
-        return lambda _p, i: oracle_estimate(net.nodes[i].r0)
+        return lambda _p, i: oracle_estimate(net.r0_star if i is None else net.nodes[i].r0)
     raise ValueError(f"unknown estimator choice {choice!r}")
 
 
 def row_estimates(choice, est, sorted_rows, i):
     """Node i's null-proportion estimate on each row (trial) of its (t, m_i)
-    p-values sorted ascending, NaN where the estimator failed, and what it
-    raised there: (values, {row: exception}).  est is make_estimator's
-    callable for choice.  "spacing" reads the rows at once through
-    spacing_values; any other estimator gets each sorted row in turn (the
-    Storey and oracle values do not depend on the order)."""
+    p-values sorted ascending (i is None for the pool), NaN where the
+    estimator failed, and what it raised there: (values, {row: exception}).
+    est is make_estimator's callable for choice.  "spacing" reads the rows
+    at once through spacing_values; any other estimator gets each sorted
+    row in turn (the Storey and oracle values do not depend on the order)."""
     if choice == "spacing":
         try:
             values = spacing_values(sorted_rows, default_spacing_schedule(sorted_rows.shape[1]))
@@ -210,16 +218,18 @@ class _NodeWork:
     cells: tuple | None = None
 
 
-def _estimates(sorted_pvalues, estimator, name="node {}") -> _NodeWork:
+def _estimates(sorted_pvalues, estimator, pool=False) -> _NodeWork:
     """row_estimates of each node's ascending p-values, made read-only
-    first, with a note for each failed or zero estimate, under
-    name.format(i)."""
+    first, with a note for each failed or zero estimate, under "node i";
+    with pool=True the one array is the pool, estimated at index None and
+    noted under "pool"."""
     est = make_estimator(estimator)
     r0 = np.full((1, len(sorted_pvalues)), np.nan)
+    name = "pool" if pool else "node {}"
     notes = []
     for i, srt in enumerate(sorted_pvalues):
         srt.flags.writeable = False
-        r0[:, i], failures = row_estimates(estimator, est, srt[None], i)
+        r0[:, i], failures = row_estimates(estimator, est, srt[None], None if pool else i)
         notes += [f"{name.format(i)}: estimator failed: {exc}" for exc in failures.values()]
     usable = usable_estimates(r0)
     for i in np.flatnonzero(np.isnan(usable[0]) & ~np.isnan(r0[0])):
@@ -241,7 +251,10 @@ def _sample_work(sample: LabeledSample, estimator) -> _NodeWork:
 
 def _node_work(sample: LabeledSample, estimator, transcript: Transcript) -> _NodeWork:
     """The _NodeWork of sample under estimator, from the slot of
-    _sample_work, its notes added to transcript."""
+    _sample_work, its notes added to transcript.  The spec is resolved
+    first, so an unhashable callable raises make_estimator's TypeError
+    before the slot is keyed by it."""
+    make_estimator(estimator)
     work = _sample_work(sample, estimator)
     transcript.notes.extend(work.notes)
     return work
@@ -286,7 +299,7 @@ def run_pooled_bh(sample: LabeledSample, alpha: float, estimator="spacing") -> P
         transcript.add(1, UP, i, CENTER, ("pvalues", int(mi)), PVALUE_BITS * int(mi))
     # the pool is this call's own array, so it is sorted in place
     srt = _sort_in_place(np.concatenate(sample.pvalues))
-    work = _estimates([srt], estimator, "pool")
+    work = _estimates([srt], estimator, pool=True)
     transcript.notes.extend(work.notes)
     level = estimate_levels(work.r0, [sample.m], alpha).pooled_bh[0]
     k, tau = bh_threshold(srt[None], level)

@@ -8,7 +8,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .distmodel import (GAUSSIAN, AltColumns, MixtureColumns, NetworkModel, NodeModel,
-                        alt_cdf_pdf, superlevel_ends, superlevel_pieces)
+                        _cauchy_pdf, _cot_pi, alt_cdf_pdf, superlevel_ends,
+                        superlevel_pieces)
 from .greedy import selection_asymptotics
 from .procedures import (_THRESHOLD_GRID, asymptotic_threshold, beta_slope, local_alpha,
                          newton_crossing)
@@ -21,6 +22,12 @@ _EMPTY_LEVEL = 2.0 ** 40
 # bisection steps replayed from one feasibility table: 2^6 - 1 levels each
 _TREE_DEPTH = 6
 _SUP_GRID = 10_000  # points on measure_alt_heterogeneity's bracket
+# its coarse pass takes every _SUP_STRIDE-th point; a cell is evaluated
+# where its bound, times 1 + _BOUND_REL plus _BOUND_ABS, can reach the
+# running maximum, margins far above the formulas' rounding
+_SUP_STRIDE = 64
+_BOUND_REL = 1e-9
+_BOUND_ABS = 1e-12
 
 
 class _Signal(NamedTuple):
@@ -254,6 +261,43 @@ def _pooled_cdf(net: NetworkModel, alts: AltColumns, t):
     return _pooled(net, alts.grid(t)[0])
 
 
+def _cell_density_bounds(alts: AltColumns, ends, pdf):
+    """(upper, lower) bounds of each alternative's density on each cell
+    [ends[j], ends[j+1]], shape (alternatives, cells), from the densities
+    pdf at the ends, shape (alternatives, len(ends)); a NaN end gives NaN
+    bounds.  A Gaussian density is monotone in t, so its ends bound it.  A
+    Cauchy density, in the decreasing c = cot(pi t), has f'(c) =
+    2 mu (1 + mu c - c^2)/((c - mu)^2 + 1)^2, so its extremes lie at the
+    roots c = (mu +- sqrt(mu^2 + 4))/2, whose product is -1: a cell that
+    holds one takes its value too."""
+    upper = np.maximum(pdf[:, :-1], pdf[:, 1:])
+    lower = np.minimum(pdf[:, :-1], pdf[:, 1:])
+    cauchy = np.flatnonzero(~alts.gauss)
+    if cauchy.size:
+        mu = alts.mu[cauchy, None]
+        c = _cot_pi(np.asarray(ends, dtype=float))
+        far = 0.5 * (mu + np.copysign(np.sqrt(mu * mu + 4.0), mu))
+        for root in (far, -1.0 / far):
+            held = (c[1:] <= root) & (root <= c[:-1])
+            value = _cauchy_pdf(root, mu)
+            upper[cauchy] = np.where(held, np.maximum(upper[cauchy], value), upper[cauchy])
+            lower[cauchy] = np.where(held, np.minimum(lower[cauchy], value), lower[cauchy])
+    return upper, lower
+
+
+def _may_reach(bound, best) -> np.ndarray:
+    """Whether a cell bound, widened by the rounding margins, can reach the
+    running maximum best: True where either is NaN."""
+    return ~(bound * (1.0 + _BOUND_REL) + _BOUND_ABS < best)
+
+
+def _distances(net: NetworkModel, which, rows) -> list:
+    """|F_k - P| for each distinct alternative's CDF row F_k, where node i
+    reads row which[i] and P is pooled from the nodes' rows in node order."""
+    pooled = _pooled(net, [rows[k] for k in which])
+    return [np.abs(row - pooled) for row in rows]
+
+
 def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
     """Numerically measure per-node sup-distances to the pooled alternative
     CDF and the Lipschitz constant of that CDF on the bracketing interval
@@ -263,10 +307,21 @@ def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
     can rise steeply.  There the pooled density diverges (constant inf) if a
     node has signal with a Gaussian shift mu > 0; densities are taken at
     interior points.
-    An all-null network (r0* = 1) raises ValueError, from beta_slope."""
+    An all-null network (r0* = 1) raises ValueError, from beta_slope.
+
+    The maxima are the grid's, bit for bit, from part of it.  A coarse pass
+    takes every _SUP_STRIDE-th point and the last, which cut the grid into
+    cells, and one gather evaluates only the cells whose bound can reach a
+    running maximum.  On a cell [a, b], |F_i - P| is at most the mean of
+    its end values plus (b - a)/2 times a bound of |f_i - p|, and the pooled
+    density p lies between the weighted sums of the nodes' density bounds
+    (_cell_density_bounds).  Each distinct alternative is evaluated once,
+    and so is its distance; the pooled sums keep node order."""
     bs = beta_slope(alpha, net.r0_star)
-    alts = AltColumns(nd.alt for nd in net.nodes)
-    taus = _node_thresholds(alts, np.full(len(net), bs))
+    distinct = {}  # node i reads row which[i] of the distinct alternatives' rows
+    which = [distinct.setdefault(nd.alt, len(distinct)) for nd in net.nodes]
+    alts = AltColumns(distinct)
+    taus = _node_thresholds(alts, np.full(len(distinct), bs))
     lo, hi = float(taus.min()), float(taus.max())
     if hi - lo < 1e-9:
         lo = max(lo - 1e-3, 1e-6)
@@ -274,18 +329,36 @@ def measure_alt_heterogeneity(net: NetworkModel, alpha: float):
     ts = np.linspace(lo, hi, _SUP_GRID)
     if lo == 0.0:
         ts = np.concatenate([[0.0], _THRESHOLD_GRID[_THRESHOLD_GRID < ts[1]], ts[1:]])
-    # hi < 1, so only ts[0] = lo can fall outside (0, 1): at lo = 0, where
-    # F = 0.  The grid takes the interior points and the zero is prepended,
-    # which is cheaper than the grid's own masked copy of each row
-    skip = int(lo == 0.0)
-    cdf_rows, pdf_rows = alts.grid(ts[skip:])
-    rows = [np.concatenate([[0.0], row]) if skip else row for row in cdf_rows]
-    pooled = _pooled(net, rows)
-    deltas = np.array([float(np.max(np.abs(row - pooled))) for row in rows])
-    if lo == 0.0 and any(nd.r1 > 0.0 and nd.alt.kind == GAUSSIAN and nd.alt.mu > 0.0
-                         for nd in net.nodes):
-        return deltas, np.inf
-    return deltas, float(np.max(_pooled(net, pdf_rows)))
+    finite = not (lo == 0.0 and any(nd.r1 > 0.0 and nd.alt.kind == GAUSSIAN and nd.alt.mu > 0.0
+                                    for nd in net.nodes))
+    ends = ts[np.append(np.arange(0, len(ts) - 1, _SUP_STRIDE), len(ts) - 1)]
+    cdf_rows, pdf_rows = alts.grid(ends)
+    dist = np.array(_distances(net, which, list(cdf_rows)))
+    deltas = dist.max(axis=1)
+    pdf = list(pdf_rows)
+    # hi < 1, so only ends[0] = lo can fall outside (0, 1): at lo = 0, where
+    # F = 0 and there is no density, so the first cell's bounds are NaN
+    gap = np.full((len(distinct), len(ends) - len(pdf[0])), np.nan)
+    upper, lower = _cell_density_bounds(alts, ends, np.hstack([gap, pdf]))
+    # the pooled density's bounds, from each distinct alternative's weight
+    w = np.bincount(which, [nd.q * nd.r1 / net.r1_star for nd in net.nodes], len(distinct))
+    p_upper, p_lower = w @ upper, w @ lower
+    slope = np.maximum(upper - p_lower, p_upper - lower)
+    bound = 0.5 * (dist[:, :-1] + dist[:, 1:]) + 0.5 * np.diff(ends) * slope
+    cells = _may_reach(bound, deltas[:, None]).any(axis=0)
+    if finite:
+        lipschitz = np.max(_pooled(net, [pdf[k] for k in which]))
+        cells |= _may_reach(p_upper, lipschitz)
+    # the grid points strictly inside the cells that may hold a maximum
+    inside = np.repeat(cells, _SUP_STRIDE)[:len(ts) - 1]
+    inside[::_SUP_STRIDE] = False
+    if inside.any():
+        cdf_rows, pdf_rows = alts.grid(ts[:-1][inside])
+        deltas = np.maximum(deltas, [np.max(d) for d in _distances(net, which, list(cdf_rows))])
+        if finite:
+            pdf = list(pdf_rows)
+            lipschitz = np.maximum(lipschitz, np.max(_pooled(net, [pdf[k] for k in which])))
+    return deltas[which], float(lipschitz) if finite else np.inf
 
 
 def alt_heterogeneity_bounds(net: NetworkModel, alpha: float, deltas,

@@ -121,6 +121,20 @@ def test_bench_alt_bounds_do_their_work(monkeypatch, capsys):
     assert len(got) == 1 and got[0] is not None
 
 
+def test_bench_times_both_heterogeneity_paths(monkeypatch, capsys):
+    """The bench times measure_alt_heterogeneity on distinct alternatives,
+    whose grid cells prune, and on nodes that share one alternative, whose
+    rounding-level distances make it evaluate the whole grid."""
+    nets = []
+    real = cli_module.measure_alt_heterogeneity
+    monkeypatch.setattr(cli_module, "measure_alt_heterogeneity",
+                        lambda net, alpha: nets.append(net) or real(net, alpha))
+    assert cli(["bench"]) == 0
+    assert [len({nd.alt for nd in net.nodes}) for net in nets] == [2, 1]
+    line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("alt heterogeneity")]
+    assert len(line) == 1 and ", shared alternative " in line[0]
+
+
 def test_unknown_method_runtime_error(tmp_path, capsys):
     out = tmp_path / "exp.csv"
     assert cli(["experiment", "2c", "--trials", "1", "--methods", "greedy,bh",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -386,12 +387,13 @@ _ESTIMATORS = ["spacing", "storey", sf.make_estimator("oracle", _NET5), _failing
 
 def _composed_estimates(pvalues, estimator, name="node {}"):
     """make_estimator's callable on each unsorted p-value array: the (1, n)
-    estimates, NaN where it raised, and the notes a protocol writes."""
+    estimates, NaN where it raised, and the notes a protocol writes.  The
+    pool, named "pool", is estimated at node index None."""
     est = sf.make_estimator(estimator)
     r0, failed, zero = [], [], []
     for i, p in enumerate(pvalues):
         try:
-            r0.append(est(p, i).value)
+            r0.append(est(p, None if name == "pool" else i).value)
         except (ValueError, RuntimeError) as exc:
             r0.append(math.nan)
             failed.append(f"{name.format(i)}: estimator failed: {exc}")
@@ -659,7 +661,7 @@ def test_callable_estimator_gets_ascending_copies():
     """A callable estimator gets each node's read-only ascending copy, a
     view of the one BH reads from the slot, in the first protocol call on
     the sample; later calls read the slot and do not call it.  Pooled BH
-    gives it the pool, sorted in place, on every call."""
+    gives it the pool, sorted in place, at node index None, on every call."""
     netsim._sample_work.cache_clear()
     s = _trial(seed=24)
     seen = {}
@@ -681,7 +683,7 @@ def test_callable_estimator_gets_ascending_copies():
     assert seen == {}
     for _ in range(2):
         sf.run_pooled_bh(s, 0.2, est)
-        np.testing.assert_array_equal(seen.pop(0), np.sort(np.concatenate(s.pvalues)))
+        np.testing.assert_array_equal(seen.pop(None), np.sort(np.concatenate(s.pvalues)))
 
 
 @pytest.mark.parametrize("sample", [_edge_sample(), _all_zero_storey_sample()],
@@ -703,3 +705,53 @@ def test_batch_selection_bins_once(sample, estimator, monkeypatch):
             for i, (p, L, K) in enumerate(zip(sample.pvalues, grid.lengths, grid.counts)) if K
             for cell, c in enumerate(greedy.node_cells(p, L, K)[1].tolist(), start=1)]
     assert sf.greedy_select(dens, 0.2) == want
+
+
+def test_pooled_oracle_estimates_the_pool_at_r0_star():
+    """make_estimator("oracle", net) answers r0* for the pool (node index
+    None), so pooled BH runs at alpha / r0*, as the engine's pooled oracle
+    does; it used to estimate the pool as node 0 (r0 = 0.5 on experiment 1,
+    1,108 rejections on this sample, against 990 at r0* = 0.633)."""
+    net, sizes, dep, _, jitter = sf.builtin_config("1").instantiate(1000)
+    s = sf.sample_trial(net, sizes, dep, jitter, seed=3)
+    est = sf.make_estimator("oracle", net)
+    assert est(s.pvalues[0], None).value == net.r0_star
+    res = sf.run_pooled_bh(s, 0.2, est)
+    want = sf.bh_procedure(np.concatenate(s.pvalues), 0.2 / net.r0_star)
+    assert res.metrics.R == want.k_hat == 990
+
+
+@dataclasses.dataclass
+class _Unhashable:
+    """A callable estimator whose instances do not hash (eq without frozen)."""
+
+    r0: float
+
+    def __call__(self, p, i):
+        return sf.oracle_estimate(self.r0)
+
+
+def test_unhashable_estimator_raises_one_type_error():
+    """Every protocol, the replay, batch selection and the engine reject an
+    unhashable callable estimator with make_estimator's TypeError, before
+    any slot is keyed by it; pooled BH, which has no slot, too."""
+    netsim._sample_work.cache_clear()
+    s = _trial(seed=26)
+    est, eps = _Unhashable(0.7), sf.default_epsilon(0.2, s.m)
+    transcript = sf.run_greedy_aggregation(s, 0.2, eps).transcript
+    calls = {
+        "no_comm": lambda: sf.run_no_comm(s, 0.2, est),
+        "pooled_bh": lambda: sf.run_pooled_bh(s, 0.2, est),
+        "prop_match": lambda: sf.run_proportion_matching(s, 0.2, est),
+        "greedy": lambda: sf.run_greedy_aggregation(s, 0.2, eps, est),
+        "replay": lambda: sf.replay_greedy_transcript(transcript, s, eps, est),
+        "batch": lambda: sf.batch_equivalent_selection(s, 0.2, eps, est),
+        "make_estimator": lambda: sf.make_estimator(est),
+    }
+    for name, call in calls.items():
+        with pytest.raises(TypeError, match="is unhashable: the protocols key their sample slot"):
+            call()
+    cfg = dataclasses.replace(sf.builtin_config("1", trials=2), sweep_values=(100,),
+                              estimator=est)
+    with pytest.raises(TypeError, match="is unhashable"):
+        sf.run_experiment(cfg)

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
 import starfdr as sf
-from starfdr import distmodel, oracleopt
+from starfdr import distmodel, oracleopt, procedures
 
 _TINY = np.finfo(float).tiny
 
@@ -749,15 +749,18 @@ class TestAltHeterogeneityBounds:
 
     def test_one_quantile_per_grid(self, monkeypatch):
         # five Gaussian nodes, all crossings positive: the CDF and density
-        # rows on the grid share one z = Q^{-1}(t)
+        # rows of each AltColumns.grid call share one z = Q^{-1}(t), and the
+        # coarse pass and its bounds leave most of the grid unevaluated
         net = sf.builtin_config("1").instantiate(1000)[0]
-        sizes = []
-        real = distmodel.normal_tail_inv
+        sizes, grids = [], []
+        real, real_grid = distmodel.normal_tail_inv, distmodel.AltColumns.grid
         monkeypatch.setattr(distmodel, "normal_tail_inv", lambda p: sizes.append(np.size(p))
                             or real(p))
+        monkeypatch.setattr(distmodel.AltColumns, "grid", lambda self, t: grids.append(
+            np.size(t)) or real_grid(self, t))
         _, c = sf.measure_alt_heterogeneity(net, 0.2)
         assert np.isfinite(c)
-        assert sizes.count(oracleopt._SUP_GRID) == 1
+        assert sizes == grids and sum(grids) < oracleopt._SUP_GRID
 
     def test_inapplicable_lipschitz(self):
         net = self._net((1.8, 2.2))
@@ -792,3 +795,109 @@ def test_pooled_alt_cdf_is_mixture_of_nodes():
         + 0.6 * 0.2 * sf.alt_cdf(net.nodes[1].alt, t)
     ) / net.r1_star
     assert sf.pooled_alt_cdf(net, t) == pytest.approx(expect)
+
+
+def _full_grid_heterogeneity(net, alpha):
+    """measure_alt_heterogeneity evaluated at every point of its grid, one
+    row per node: the reference its pruned form must equal bit for bit."""
+    bs = sf.beta_slope(alpha, net.r0_star)
+    alts = distmodel.AltColumns(nd.alt for nd in net.nodes)
+    taus = oracleopt._node_thresholds(alts, np.full(len(net), bs))
+    lo, hi = float(taus.min()), float(taus.max())
+    if hi - lo < 1e-9:
+        lo = max(lo - 1e-3, 1e-6)
+        hi = min(hi + 1e-3, 1.0 - 1e-6)
+    ts = np.linspace(lo, hi, oracleopt._SUP_GRID)
+    grid = procedures._THRESHOLD_GRID
+    if lo == 0.0:
+        ts = np.concatenate([[0.0], grid[grid < ts[1]], ts[1:]])
+    skip = int(lo == 0.0)
+    cdf_rows, pdf_rows = alts.grid(ts[skip:])
+    rows = [np.concatenate([[0.0], row]) if skip else row for row in cdf_rows]
+    pooled = oracleopt._pooled(net, rows)
+    deltas = np.array([float(np.max(np.abs(row - pooled))) for row in rows])
+    if lo == 0.0 and any(nd.r1 > 0.0 and nd.alt.kind == sf.GAUSSIAN and nd.alt.mu > 0.0
+                         for nd in net.nodes):
+        return deltas, np.inf
+    return deltas, float(np.max(oracleopt._pooled(net, pdf_rows)))
+
+
+def _heterogeneity_reprs(measure, net, alpha):
+    deltas, c = measure(net, alpha)
+    return repr(deltas.tolist()), repr(c), repr(sf.alt_heterogeneity_bounds(net, alpha, deltas, c))
+
+
+def _oracle_networks():
+    """The network of every sweep point of experiments 1, 2a, 2b and 2c,
+    the one-node rare-signal network, a bracket from 0 whose first linear
+    step holds a node's largest distance, and a network whose pooled
+    density peaks inside a cell that no distance bound reaches (at alpha
+    0.2 and 0.5)."""
+    nets = [sf.builtin_config(exp).instantiate(v)[0] for exp in ("1", "2a", "2b", "2c")
+            for v in sf.builtin_config(exp).sweep_values]
+    return nets + [
+        sf.NetworkModel([sf.NodeModel(1.0, 0.9999, sf.gaussian_alt(4.0))]),
+        sf.NetworkModel([
+            sf.NodeModel(0.548, 0.56, sf.gaussian_alt(7.73)),
+            sf.NodeModel(0.331, 0.641, sf.cauchy_alt(-1.19)),
+            sf.NodeModel(0.121, 0.898, sf.gaussian_alt(3.44)),
+        ]),
+        sf.NetworkModel([
+            sf.NodeModel(0.43, 0.76, sf.cauchy_alt(0.66)),
+            sf.NodeModel(0.11, 0.6, sf.cauchy_alt(0.66)),
+            sf.NodeModel(0.45, 0.57, sf.gaussian_alt(0.0)),
+            sf.NodeModel(0.01, 0.4, sf.cauchy_alt(6.92)),
+        ]),
+    ]
+
+
+class TestPrunedGrid:
+    """measure_alt_heterogeneity, which evaluates only the grid cells that
+    may hold a maximum, against every point of its grid."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5])
+    def test_oracle_networks(self, alpha):
+        for net in _oracle_networks():
+            assert (_heterogeneity_reprs(sf.measure_alt_heterogeneity, net, alpha)
+                    == _heterogeneity_reprs(_full_grid_heterogeneity, net, alpha))
+
+    # a few alternatives that several nodes may share, mu = 0 and negative
+    # Cauchy shifts included
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alts=st.lists(st.tuples(st.sampled_from([sf.GAUSSIAN, sf.CAUCHY]),
+                                st.one_of(st.just(0.0), st.floats(-4.0, 9.0))),
+                      min_size=1, max_size=4),
+        nodes=st.lists(st.tuples(st.integers(0, 3), st.floats(0.05, 1.0),
+                                 st.sampled_from([0.3, 0.55, 0.8, 0.95, 1.0])),
+                       min_size=1, max_size=6),
+        alpha=st.sampled_from([0.05, 0.2, 0.5]),
+    )
+    def test_random_networks(self, alts, nodes, alpha):
+        total = sum(w for _, w, _ in nodes)
+        net = sf.NetworkModel([
+            sf.NodeModel(w / total, r0, sf.AlternativeModel(*alts[k % len(alts)]))
+            for k, w, r0 in nodes])
+        assume(net.r0_star < 1.0)
+        assert (_heterogeneity_reprs(sf.measure_alt_heterogeneity, net, alpha)
+                == _heterogeneity_reprs(_full_grid_heterogeneity, net, alpha))
+
+    @pytest.mark.parametrize("mu", [3.0, 0.7, -0.7, -3.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cauchy_cells_hold_their_extremes(self, mu, sign):
+        # the density of a Cauchy shift peaks at cot(pi t) = (mu + sqrt(mu^2
+        # + 4))/2 and dips at the other root, (mu - sqrt(mu^2 + 4))/2; a
+        # cell around either, wide enough that its ends are far from that
+        # value, must be bounded by it
+        alts = distmodel.AltColumns([sf.cauchy_alt(mu)])
+        c = 0.5 * (mu + sign * math.sqrt(mu * mu + 4.0))
+        t = math.atan2(1.0, c) / math.pi
+        for left, right in ((0.05, 0.08), (0.002, 0.15), (0.2, 0.01)):
+            ends = np.array([max(t - left, 1e-6), min(t + right, 1.0 - 1e-6)])
+            pdf = np.array(list(alts.grid(ends)[1]))
+            upper, lower = oracleopt._cell_density_bounds(alts, ends, pdf)
+            f = sf.alt_pdf(alts.alts[0], np.linspace(*ends, 20_001))
+            assert lower[0, 0] <= f.min() * (1.0 + 1e-12)
+            assert f.max() <= upper[0, 0] * (1.0 + 1e-12)
+            # the extreme is inside the cell, not at its ends
+            assert (f.max() > pdf.max() * (1.0 + 1e-6)) or (f.min() < pdf.min() * (1.0 - 1e-6))
