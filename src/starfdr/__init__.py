@@ -9,8 +9,6 @@ rejection regions, and a Monte Carlo experiment harness.
 from .distmodel import (
     CAUCHY,
     GAUSSIAN,
-    INDEPENDENT,
-    TAPERING_AR,
     AlternativeModel,
     DependenceSpec,
     LabeledSample,

@@ -51,7 +51,8 @@ _CUSTOM_KEYS = frozenset({
 
 def _parse_config_file(path: str, keys) -> dict:
     """Line-oriented key=value format; '#' starts a comment.  A key not in
-    keys, the ones the command reads, raises ValueError."""
+    keys, the ones the command reads, or a key given twice raises
+    ValueError."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -64,6 +65,8 @@ def _parse_config_file(path: str, keys) -> dict:
             if key not in keys:
                 raise ValueError(
                     f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(sorted(keys))})")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
             out[key] = value
     return out
 

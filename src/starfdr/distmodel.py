@@ -9,7 +9,7 @@ Samplers cover independent draws and an AR(1) tapering-covariance regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -17,9 +17,6 @@ from scipy.special import ndtr, ndtri
 
 GAUSSIAN = "gaussian"
 CAUCHY = "cauchy"
-
-INDEPENDENT = "independent"
-TAPERING_AR = "tapering_ar"
 
 # p-values at exact 0/1 are clamped into the open interval so that
 # downstream densities stay finite
@@ -396,18 +393,14 @@ class NetworkModel:
 
 @dataclass(frozen=True)
 class DependenceSpec:
-    """Dependence regime for the underlying statistics within each node."""
+    """Dependence of the underlying statistics within each node: AR(1)
+    tapering, corr rho^|i-j|, for rho > 0, and independence at rho = 0."""
 
-    kind: str = INDEPENDENT
     rho: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (INDEPENDENT, TAPERING_AR):
-            raise ValueError(f"unknown dependence kind {self.kind!r}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
-        if self.kind == INDEPENDENT and self.rho != 0.0:
-            raise ValueError("independent spec cannot carry nonzero rho")
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,14 +491,13 @@ def sample_rows(net: NetworkModel, sizes, dep: DependenceSpec, mean_jitter, rngs
             rng.standard_normal(out=P[r, c])
 
     N = np.empty((t, m), dtype=bool)
-    rho = dep.rho if dep.kind == TAPERING_AR else 0.0
     for node, c, mu_i in zip(net.nodes, cols, mu.T):
         if c.start == c.stop:
             continue
         null, z = N[:, c], P[:, c]
         np.less(U[:, c], node.r0, out=null)
-        if rho > 0.0:
-            z[...] = _ar1_rows(z, rho)
+        if dep.rho > 0.0:
+            z[...] = _ar1_rows(z, dep.rho)
         # the shift is mu for an alternative and a zero for a null (-0.0 when
         # mu < 0, which gives the same p-value as 0.0)
         shift = np.multiply(~null, mu_i[:, None])
@@ -557,22 +549,15 @@ def sample_trial(
     mean_jitter: float | None = None,
     seed=0,
 ) -> LabeledSample:
-    """Draw one labeled trial from the network model.
+    """Draw one labeled trial from the network model, with sizes[i]
+    p-values at node i.
 
-    sizes is either a per-node sequence of counts, or a single total count
-    in which case each p-value is assigned to node i with probability q_i.
     When mean_jitter is set and nonzero, each node draws one location shift
     per trial uniformly within +-mean_jitter of its base mu; a jitter of 0
     draws nothing and gives the same sample as None.  Identical seeds give
-    identical samples; the rho=0 tapering regime coincides with the
-    independent path draw for draw.  This is sample_rows with one row.
+    identical samples.  This is sample_rows with one row.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if np.isscalar(sizes):
-        total = int(sizes)
-        if total < 0:
-            raise ValueError("total count must be nonnegative")
-        sizes = rng.multinomial(total, net.q)
     P, N = sample_rows(net, sizes, dep, mean_jitter, [rng])
     cols = node_columns(sizes)
     return LabeledSample([P[0, c] for c in cols], [N[0, c] for c in cols])

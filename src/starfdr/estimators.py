@@ -3,7 +3,7 @@ maximum-spacing estimator, plus the plug-in used for oracle runs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class DegenerateSpacingError(ValueError):
 class NullProportionEstimate:
     value: float
     method: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -44,7 +43,7 @@ def storey_estimate(pvalues, lam: float = DEFAULT_STOREY_LAMBDA) -> NullProporti
         raise ValueError("lambda must lie in (0, 1)")
     upper = np.count_nonzero(p > lam) / p.size
     value = min(upper / (1.0 - lam), 1.0)
-    return NullProportionEstimate(value, STOREY, {"lambda": lam})
+    return NullProportionEstimate(value, STOREY)
 
 
 def spacing_values(sorted_rows, s: int) -> np.ndarray:
@@ -81,7 +80,7 @@ def spacing_estimate(pvalues, s: int) -> NullProportionEstimate:
     value = float(spacing_values(np.sort(np.asarray(pvalues, dtype=float))[None], s)[0])
     if np.isnan(value):
         raise DegenerateSpacingError()
-    return NullProportionEstimate(value, SPACING, {"s": int(s)})
+    return NullProportionEstimate(value, SPACING)
 
 
 def default_spacing_schedule(m: int) -> int:
@@ -99,4 +98,4 @@ def default_spacing_schedule(m: int) -> int:
 
 def oracle_estimate(r0: float) -> NullProportionEstimate:
     """Testing plug-in that returns the generative null proportion."""
-    return NullProportionEstimate(float(r0), ORACLE, {})
+    return NullProportionEstimate(float(r0), ORACLE)

@@ -19,7 +19,6 @@ import numpy as np
 from .distmodel import (
     CAUCHY,
     GAUSSIAN,
-    TAPERING_AR,
     AlternativeModel,
     DependenceSpec,
     NetworkModel,
@@ -62,8 +61,10 @@ class ExperimentConfig:
     n_nodes: int = DEFAULT_N
     alpha: float = DEFAULT_ALPHA
     kinds: tuple = (GAUSSIAN,) * DEFAULT_N
-    mu_slope: float = 0.0  # base mu = mu_slope * node index (1-based)
-    mu_flat: float = 0.0  # or a flat base mu across nodes
+    # node i (1-based) has base mu = mu_flat + mu_slope * i; the swept value
+    # takes mu_flat's place in a mu sweep and mu_slope's in an eta sweep
+    mu_slope: float = 0.0
+    mu_flat: float = 0.0
     jitter: float = JITTER
     eps_multiplier: float = 1.0
     eps_scales_with_sweep: bool = False  # experiment 2a couples eps to eta
@@ -74,6 +75,8 @@ class ExperimentConfig:
     estimator: str = "spacing"
 
     def __post_init__(self):
+        if self.sweep not in ("n", "eta", "mu", "rho"):
+            raise ValueError(f"unknown sweep {self.sweep!r}: sweep one of n, eta, mu, rho")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if len(self.sweep_values) == 0:
@@ -109,23 +112,13 @@ class ExperimentConfig:
         m = int(sizes.sum())
         q = sizes / m
 
-        if self.sweep == "eta":
-            mu_base = [float(sweep_value) * i for i in range(1, self.n_nodes + 1)]
-        elif self.sweep == "mu":
-            mu_base = [float(sweep_value)] * self.n_nodes
-        elif self.mu_slope:
-            mu_base = [self.mu_slope * i for i in range(1, self.n_nodes + 1)]
-        else:
-            mu_base = [self.mu_flat] * self.n_nodes
-
-        nodes = [
-            NodeModel(q[i], self.r0(i + 1), AlternativeModel(self.kinds[i], mu_base[i]))
-            for i in range(self.n_nodes)
-        ]
-        net = NetworkModel(nodes)
-
-        rho = float(sweep_value) if self.sweep == "rho" else self.rho
-        dep = DependenceSpec(TAPERING_AR, rho) if rho > 0.0 else DependenceSpec()
+        slope = float(sweep_value) if self.sweep == "eta" else self.mu_slope
+        flat = float(sweep_value) if self.sweep == "mu" else self.mu_flat
+        net = NetworkModel(
+            NodeModel(q[i - 1], self.r0(i), AlternativeModel(self.kinds[i - 1], flat + slope * i))
+            for i in range(1, self.n_nodes + 1)
+        )
+        dep = DependenceSpec(float(sweep_value) if self.sweep == "rho" else self.rho)
 
         mult = self.eps_multiplier
         if self.eps_scales_with_sweep:

@@ -66,7 +66,6 @@ def estimate_grid(epsilon: float, sizes, r0) -> IntervalGrid:
 class CellDensity:
     node: int  # 0-based node index
     cell: int  # 1-based cell index
-    count: int
     h: float
 
 
@@ -133,29 +132,24 @@ def greedy_rows(H, alpha: float):
     return order, k, np.where(k > 0, run[np.arange(t), k - 1], 0.0)
 
 
-def greedy_order(node, cell, h, alpha: float):
-    """greedy_rows for one selection over cells given in any order: the
-    positions of the selected cells in selection order and their density
-    total."""
-    by_cell = np.lexsort((cell, node))
-    order, k, total = greedy_rows(np.asarray(h, dtype=float)[by_cell][None], alpha)
-    return by_cell[order[0, : k[0]]], float(total[0])
-
-
 def greedy_select(densities, alpha: float) -> IntervalSelection:
-    """Batch form of the round-based aggregation: top-M cells by density,
-    ties broken by (node, cell) ascending; see greedy_order."""
+    """Batch form of the round-based aggregation: greedy_rows for one
+    selection over cells given in any order, so top-M cells by density,
+    ties broken by (node, cell) ascending."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     node = np.array([c.node for c in densities], dtype=int)
     cell = np.array([c.cell for c in densities], dtype=int)
-    picked, total = greedy_order(node, cell, [c.h for c in densities], alpha)
+    by_cell = np.lexsort((cell, node))
+    h = np.array([c.h for c in densities], dtype=float)
+    order, k, total = greedy_rows(h[by_cell][None], alpha)
+    picked = by_cell[order[0, : k[0]]]
     chosen = tuple(zip(node[picked].tolist(), cell[picked].tolist()))
-    return IntervalSelection(chosen, len(chosen), len(chosen) / total if chosen else 0.0)
+    return IntervalSelection(chosen, len(chosen), len(chosen) / float(total[0]) if chosen else 0.0)
 
 
 def true_cell_densities(net: NetworkModel, grid: IntervalGrid) -> list[CellDensity]:
-    """Population densities h = q * G_i(cell) / epsilon (count field unused)."""
+    """Population densities h = q * G_i(cell) / epsilon."""
     out = []
     for i, node in enumerate(net.nodes):
         K = int(grid.counts[i])
@@ -165,7 +159,7 @@ def true_cell_densities(net: NetworkModel, grid: IntervalGrid) -> list[CellDensi
         edges = mixture_cdf(node, np.arange(K + 1) * L)
         mass = np.diff(edges)
         for cell in range(1, K + 1):
-            out.append(CellDensity(i, cell, 0, node.q * float(mass[cell - 1]) / grid.epsilon))
+            out.append(CellDensity(i, cell, node.q * float(mass[cell - 1]) / grid.epsilon))
     return out
 
 

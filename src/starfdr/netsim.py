@@ -530,6 +530,6 @@ def batch_equivalent_selection(sample: LabeledSample, alpha, epsilon, estimator=
     uses, with the empirical densities h = count / (epsilon m)."""
     nodes = _greedy_cells(sample, epsilon, _node_work(sample, estimator, Transcript()))
     scale = epsilon * sample.m
-    return greedy_select([CellDensity(i, cell, c, c / scale)
+    return greedy_select([CellDensity(i, cell, c / scale)
                           for i, (_, cells, counts) in enumerate(nodes)
                           for cell, c in zip(cells, counts)], alpha)

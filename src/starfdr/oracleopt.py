@@ -253,12 +253,7 @@ def _pooled(net: NetworkModel, rows):
 
 def pooled_alt_cdf(net: NetworkModel, t):
     """Network-level alternative CDF: (1/r1*) sum q r1 F_i."""
-    return _pooled_cdf(net, AltColumns(nd.alt for nd in net.nodes), t)
-
-
-def _pooled_cdf(net: NetworkModel, alts: AltColumns, t):
-    """pooled_alt_cdf from the columns alts of the network's alternatives."""
-    return _pooled(net, alts.grid(t)[0])
+    return _pooled(net, AltColumns(nd.alt for nd in net.nodes).grid(t)[0])
 
 
 def _cell_density_bounds(alts: AltColumns, ends, pdf):
@@ -382,7 +377,7 @@ def alt_heterogeneity_bounds(net: NetworkModel, alpha: float, deltas,
         return None
     # one AltColumns for the grid scan, every largest_crossing pass and p_star
     alts = AltColumns(nd.alt for nd in net.nodes)
-    tau_star = asymptotic_threshold(lambda t: _pooled_cdf(net, alts, t), 1.0 / beta_star)
+    tau_star = asymptotic_threshold(lambda t: _pooled(net, alts.grid(t)[0]), 1.0 / beta_star)
     dprime = float(np.dot(q, (r0s + beta_star * (1.0 - r0s)) * deltas)) / (
         beta_star - lipschitz_c
     )
@@ -391,7 +386,7 @@ def alt_heterogeneity_bounds(net: NetworkModel, alpha: float, deltas,
     if dprime >= r_check:
         return None
     fdr_bound = r0_star * alpha + (v_check + r_check) / (r_check - dprime) ** 2 * dprime
-    p_star = float(_pooled_cdf(net, alts, tau_star))
+    p_star = float(_pooled(net, alts.grid(tau_star)[0]))
     power_bound = p_star - min(
         float(deltas.max()) / (1.0 - lipschitz_c / beta_star), dprime / r1_star
     )

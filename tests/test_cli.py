@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import starfdr as sf
 from starfdr import cli as cli_module
 from starfdr.cli import cli
 from starfdr.experiments import CSV_HEADER
@@ -87,6 +88,7 @@ def test_mismatched_config_lengths(tmp_path):
     ("simulate", "sweep_values = 300\ntrails = 3\nmethod = no_comm\n", "2: unknown key 'trails'"),
     ("optimal-region", "q = 1.0\nr0 = 0.7\nmu = 2.0\nkinds = cauchy\n",
      "4: unknown key 'kinds'"),
+    ("simulate", "sweep_values = 300\ntrials = 3\ntrials = 4\n", "3: key 'trials' given twice"),
 ])
 def test_unknown_config_key_runtime_error(tmp_path, capsys, command, text, where):
     cfg = tmp_path / "typo.cfg"
@@ -135,6 +137,29 @@ def test_bench_times_both_heterogeneity_paths(monkeypatch, capsys):
     assert len(line) == 1 and ", shared alternative " in line[0]
 
 
+def test_repeated_config_key_rejected(tmp_path):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("q = 1.0\nr0 = 0.7\nmu = 2.0\n# a comment\nr0 = 0.8\n")
+    with pytest.raises(ValueError, match=f"{cfg}:5: key 'r0' given twice"):
+        cli_module._parse_config_file(str(cfg), cli_module._NETWORK_KEYS)
+
+
+def test_simulate_base_mu_adds_slope_and_flat(tmp_path):
+    """mu_slope = 1 and mu_flat = 3 give nodes 1..5 the mus 4..8: the
+    optimal row is that network's optimal_region."""
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("sweep = n\nsweep_values = 300\nmu_slope = 1\nmu_flat = 3\n"
+                   "methods = optimal\n")
+    out = tmp_path / "sim.csv"
+    assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    sizes = [300, 240, 180, 120, 60]
+    net = sf.NetworkModel(sf.NodeModel(m / 900, r0, sf.gaussian_alt(mu))
+                          for m, r0, mu in zip(sizes, (0.5, 0.6, 0.7, 0.8, 0.9), (4, 5, 6, 7, 8)))
+    _, fdr, power = sf.optimal_region(net, 0.2)
+    assert row[1:5] == ["optimal", f"{fdr:.10g}", "0", f"{power:.10g}"]
+
+
 def test_unknown_method_runtime_error(tmp_path, capsys):
     out = tmp_path / "exp.csv"
     assert cli(["experiment", "2c", "--trials", "1", "--methods", "greedy,bh",
@@ -152,6 +177,15 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith(",".join(CSV_HEADER) + "\n")
+
+
+def test_simulate_unknown_sweep_runtime_error(tmp_path, capsys):
+    cfg = tmp_path / "rho.cfg"
+    cfg.write_text("sweep = rh0\nsweep_values = 0, 0.9\ntrials = 2\n")
+    out = tmp_path / "rho.csv"
+    assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown sweep 'rh0': sweep one of n, eta, mu, rho" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_empty_node_runtime_error(tmp_path, capsys):

@@ -232,11 +232,9 @@ class TestNetwork:
 class TestDependenceSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            sf.DependenceSpec(sf.TAPERING_AR, 1.0)
+            sf.DependenceSpec(1.0)
         with pytest.raises(ValueError):
-            sf.DependenceSpec(sf.INDEPENDENT, 0.5)
-        with pytest.raises(ValueError):
-            sf.DependenceSpec("exchangeable", 0.0)
+            sf.DependenceSpec(-0.5)
 
 
 NET1 = sf.NetworkModel([sf.NodeModel(1.0, 0.7, sf.gaussian_alt(2.0))])
@@ -273,14 +271,14 @@ class TestSampleTrial:
             assert x.tobytes() == y.tobytes()
 
     def test_rho_zero_matches_independent(self):
-        dep = sf.DependenceSpec(sf.TAPERING_AR, 0.0)
+        dep = sf.DependenceSpec(0.0)
         a = sf.sample_trial(NET1, (500,), dep, seed=5)
         b = sf.sample_trial(NET1, (500,), seed=5)
         assert np.array_equal(a.pvalues[0], b.pvalues[0])
 
     def test_ar_lag_one_autocorrelation(self):
         net = sf.NetworkModel([sf.NodeModel(1.0, 1.0, sf.gaussian_alt(0.0))])
-        dep = sf.DependenceSpec(sf.TAPERING_AR, 0.9)
+        dep = sf.DependenceSpec(0.9)
         s = sf.sample_trial(net, (10_000,), dep, seed=1)
         # recover the underlying statistics from null p-values
         x = sf.normal_tail_inv(s.pvalues[0])
@@ -295,7 +293,7 @@ class TestSampleTrial:
             "import sys, starfdr as sf\n"
             "before = {'scipy.signal', 'scipy.linalg'} & set(sys.modules)\n"
             "net = sf.builtin_config('3').instantiate(0.9)[0]\n"
-            "sf.sample_trial(net, (50, 40, 30, 20, 10), sf.DependenceSpec(sf.TAPERING_AR, 0.9))\n"
+            "sf.sample_trial(net, (50, 40, 30, 20, 10), sf.DependenceSpec(0.9))\n"
             "print(sorted(before), 'scipy.signal' in sys.modules, 'scipy.linalg' in sys.modules)\n"
         )
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -304,14 +302,10 @@ class TestSampleTrial:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]", "False", "True"]
 
-    def test_random_assignment_mode(self):
-        net = sf.NetworkModel([
-            sf.NodeModel(0.5, 0.7, sf.gaussian_alt(2.0)),
-            sf.NodeModel(0.5, 0.8, sf.gaussian_alt(1.0)),
-        ])
-        s = sf.sample_trial(net, 1000, seed=0)
-        assert s.m == 1000 and s.n_nodes == 2
-        assert all(len(p) > 300 for p in s.pvalues)
+    def test_total_count_rejected(self):
+        """sizes are per node: a single total count is refused."""
+        with pytest.raises(ValueError, match="one count per node"):
+            sf.sample_trial(NET1, 1000, seed=0)
 
     def test_label_proportions(self):
         s = sf.sample_trial(NET1, (20_000,), seed=9)
@@ -371,7 +365,7 @@ EPS, TOP = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg
 def _per_trial_draw(net, sizes, dep, mean_jitter, rng):
     """The per-trial sampler that sample_rows replaced: node by node, draw
     and transform one trial's p-values."""
-    rho = dep.rho if dep.kind == sf.TAPERING_AR else 0.0
+    rho = dep.rho
     pvals, labels = [], []
     for node, mi in zip(net.nodes, sizes):
         mu = node.alt.mu
@@ -394,8 +388,8 @@ def _per_trial_draw(net, sizes, dep, mean_jitter, rng):
     return pvals, labels
 
 
-TAPER_0 = sf.DependenceSpec(sf.TAPERING_AR, 0.0)
-AR_9 = sf.DependenceSpec(sf.TAPERING_AR, 0.9)
+TAPER_0 = sf.DependenceSpec(0.0)
+AR_9 = sf.DependenceSpec(0.9)
 SAMPLER_CASES = {  # name: (experiment, sweep value, sizes or None for the config's, dep, jitter)
     "gaussian": ("1", 100, None, sf.DependenceSpec(), 0.5),
     "cauchy": ("2b", 4, None, sf.DependenceSpec(), None),
@@ -403,8 +397,8 @@ SAMPLER_CASES = {  # name: (experiment, sweep value, sizes or None for the confi
     "ar1": ("3", 0.9, None, AR_9, 0.5),
     "taper-rho0": ("2c", 2, None, TAPER_0, None),
     "zero-size-node": ("2c", 5, (40, 0, 30, 1, 25), AR_9, 0.5),
-    "ar1-rho0.15": ("3", 0.15, None, sf.DependenceSpec(sf.TAPERING_AR, 0.15), 0.5),
-    "ar1-rho0.999999": ("3", 0.999999, None, sf.DependenceSpec(sf.TAPERING_AR, 0.999999), 0.5),
+    "ar1-rho0.15": ("3", 0.15, None, sf.DependenceSpec(0.15), 0.5),
+    "ar1-rho0.999999": ("3", 0.999999, None, sf.DependenceSpec(0.999999), 0.5),
     "mixed-ar1": ("2c", 3, None, AR_9, 0.25),
 }
 

@@ -43,13 +43,38 @@ class TestBuiltinConfig:
 
     def test_rho_sweep(self):
         _, _, dep, _, _ = sf.builtin_config("3").instantiate(0.6)
-        assert dep.kind == sf.TAPERING_AR and dep.rho == 0.6
+        assert dep == sf.DependenceSpec(0.6)
         _, _, dep, _, _ = sf.builtin_config("3").instantiate(0.0)
-        assert dep.kind == sf.INDEPENDENT
+        assert dep == sf.DependenceSpec()
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             sf.builtin_config("9")
+
+
+class TestSweepSettings:
+    """Every setting is read: node i (1-based) has base mu = mu_flat +
+    mu_slope * i, with the swept value in mu_flat's place in a mu sweep and
+    in mu_slope's in an eta sweep, and a sweep name outside n, eta, mu and
+    rho is refused."""
+
+    @staticmethod
+    def _mus(sweep, value, **kw):
+        cfg = sf.ExperimentConfig("t", sweep=sweep, sweep_values=(value,), **kw)
+        return [nd.alt.mu for nd in cfg.instantiate(value)[0].nodes]
+
+    def test_slope_and_flat_add(self):
+        assert self._mus("n", 400, mu_slope=1.0, mu_flat=3.0) == [4.0, 5.0, 6.0, 7.0, 8.0]
+
+    def test_eta_sweep_keeps_flat(self):
+        assert self._mus("eta", 1.5, mu_flat=2.0) == [3.5, 5.0, 6.5, 8.0, 9.5]
+
+    def test_mu_sweep_keeps_slope(self):
+        assert self._mus("mu", 2.0, mu_slope=0.5) == [2.5, 3.0, 3.5, 4.0, 4.5]
+
+    def test_unknown_sweep_rejected(self):
+        with pytest.raises(ValueError, match="unknown sweep 'rh0': sweep one of n, eta, mu, rho"):
+            sf.ExperimentConfig("t", sweep="rh0", sweep_values=(0.0, 0.9))
 
 
 def _tiny_config(**kw):

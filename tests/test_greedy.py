@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starfdr as sf
-from starfdr.greedy import estimate_grid, greedy_order, node_cells
+from starfdr.greedy import estimate_grid, node_cells
 
 
 class TestBuildGrid:
@@ -92,14 +92,13 @@ class TestCellDensities:
 
 
 class TestSelectMstar:
-    """M*, the number of cells the greedy selection takes: greedy_order's
-    count, and greedy_select's argument check."""
+    """M*, the number of cells the greedy selection takes: greedy_select's
+    count, and its argument check."""
 
     @staticmethod
     def _mstar(h, alpha):
-        h = np.asarray(h, dtype=float)
-        picked, _ = greedy_order(np.zeros(h.size, dtype=int), np.arange(1, h.size + 1), h, alpha)
-        return picked.size
+        dens = [sf.CellDensity(0, j + 1, float(x)) for j, x in enumerate(h)]
+        return sf.greedy_select(dens, alpha).m_selected
 
     def test_examples(self):
         assert self._mstar([15, 6, 2], 0.1) == 2
@@ -114,7 +113,7 @@ class TestSelectMstar:
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
-            sf.greedy_select([sf.CellDensity(0, 1, 0, 1.0)], 1.0)
+            sf.greedy_select([sf.CellDensity(0, 1, 1.0)], 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -126,14 +125,14 @@ class TestSelectMstar:
         hs = np.sort(np.asarray(h))[::-1]
         csum = np.cumsum(hs)
         for M in range(1, len(h) + 1):
-            # greedy_order also stops at the first cell of density 0
+            # greedy_select also stops at the first cell of density 0
             ok = M <= alpha * csum[M - 1] and hs[M - 1] > 0.0
             assert ok == (M <= mstar)
 
 
 class TestGreedySelect:
     def _densities(self, hs):
-        return [sf.CellDensity(0, j + 1, 0, h) for j, h in enumerate(hs)]
+        return [sf.CellDensity(0, j + 1, h) for j, h in enumerate(hs)]
 
     def test_example(self):
         sel = sf.greedy_select(self._densities([15, 6, 2]), 0.1)
@@ -159,9 +158,9 @@ class TestGreedySelect:
 
     def test_tie_break_lexicographic(self):
         dens = [
-            sf.CellDensity(1, 1, 0, 30.0),
-            sf.CellDensity(0, 2, 0, 30.0),
-            sf.CellDensity(0, 1, 0, 30.0),
+            sf.CellDensity(1, 1, 30.0),
+            sf.CellDensity(0, 2, 30.0),
+            sf.CellDensity(0, 1, 30.0),
         ]
         sel = sf.greedy_select(dens, 0.1)
         assert sel.cells[:2] == ((0, 1), (0, 2))

@@ -701,7 +701,7 @@ def test_batch_selection_bins_once(sample, estimator, monkeypatch):
     assert sf.batch_equivalent_selection(sample, 0.2, eps, estimator) == want
     assert calls == []
     # against the batch selector on densities binned afresh
-    dens = [sf.CellDensity(i, cell, c, c / (eps * sample.m))
+    dens = [sf.CellDensity(i, cell, c / (eps * sample.m))
             for i, (p, L, K) in enumerate(zip(sample.pvalues, grid.lengths, grid.counts)) if K
             for cell, c in enumerate(greedy.node_cells(p, L, K)[1].tolist(), start=1)]
     assert sf.greedy_select(dens, 0.2) == want
