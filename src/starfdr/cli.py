@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -25,10 +26,10 @@ from .distmodel import (
     sample_trial,
 )
 from .experiments import (
-    METHODS,
+    BUILTINS,
+    DEFAULT_N,
     ExperimentConfig,
     builtin_config,
-    default_output_dir,
     run_experiment,
 )
 from .netsim import run_greedy_aggregation, run_pooled_bh
@@ -41,12 +42,33 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 
+def _items(text: str, parse=str) -> tuple:
+    """A comma list, each item stripped and parsed: 'a, b' reads as 'a,b'."""
+    return tuple(parse(item.strip()) for item in text.split(","))
+
+
+def _kinds(text: str, n_nodes: int) -> tuple:
+    """The kind key: one statistic kind for each of n_nodes nodes, or a list
+    of one kind per node."""
+    kinds = _items(text)
+    if len(kinds) == 1:
+        return kinds * n_nodes
+    if len(kinds) != n_nodes:
+        raise ValueError(f"kind lists {len(kinds)} kinds for {n_nodes} nodes")
+    return kinds
+
+
+# simulate's keys, each with its parser, besides kind and nodes, which
+# together give the config's kinds
+_CUSTOM_FIELDS = {
+    "id": str, "sweep": str, "sweep_values": lambda text: _items(text, float),
+    "n": lambda text: int(float(text)), "alpha": float, "mu_slope": float, "mu_flat": float,
+    "jitter": float, "eps_multiplier": float, "rho": float, "trials": int, "seed": int,
+    "methods": _items, "estimator": str,
+}
 # the keys each config reader takes
 _NETWORK_KEYS = frozenset({"q", "r0", "mu", "kind"})
-_CUSTOM_KEYS = frozenset({
-    "id", "sweep", "sweep_values", "n", "nodes", "alpha", "kind", "mu_slope", "mu_flat",
-    "jitter", "eps_multiplier", "rho", "trials", "seed", "methods", "estimator",
-})
+_CUSTOM_KEYS = frozenset(_CUSTOM_FIELDS) | {"kind", "nodes"}
 
 
 def _parse_config_file(path: str, keys) -> dict:
@@ -71,65 +93,48 @@ def _parse_config_file(path: str, keys) -> dict:
     return out
 
 
-def _floats(text: str):
-    return tuple(float(v) for v in text.split(","))
-
-
 def _network_from_config(cfg: dict) -> NetworkModel:
-    q = _floats(cfg["q"])
-    r0 = _floats(cfg["r0"])
-    mu = _floats(cfg["mu"])
-    kinds = cfg.get("kind", GAUSSIAN)
-    kinds = tuple(kinds.split(",")) if "," in kinds else (kinds,) * len(q)
-    if not len(q) == len(r0) == len(mu) == len(kinds):
-        raise ValueError("q, r0, mu (and kind) must have matching lengths")
+    q, r0, mu = (_items(cfg[key], float) for key in ("q", "r0", "mu"))
+    if not len(q) == len(r0) == len(mu):
+        raise ValueError("q, r0 and mu must have matching lengths")
+    kinds = _kinds(cfg.get("kind", GAUSSIAN), len(q))
     return NetworkModel(
         [NodeModel(qi, ri, AlternativeModel(k, m)) for qi, ri, m, k in zip(q, r0, mu, kinds)]
     )
 
 
 def _custom_config(cfg: dict) -> ExperimentConfig:
-    n_nodes = int(cfg.get("nodes", 5))
-    kinds = cfg.get("kind", GAUSSIAN)
-    kinds = tuple(kinds.split(",")) if "," in kinds else (kinds,) * n_nodes
-    methods = tuple(cfg.get("methods", ",".join(METHODS)).split(","))
-    return ExperimentConfig(
-        id=cfg.get("id", "custom"),
-        sweep=cfg.get("sweep", "n"),
-        sweep_values=_floats(cfg.get("sweep_values", cfg.get("n", "1000"))),
-        n=int(float(cfg.get("n", 1000))),
-        n_nodes=n_nodes,
-        alpha=float(cfg.get("alpha", 0.2)),
-        kinds=kinds,
-        mu_slope=float(cfg.get("mu_slope", 0.0)),
-        mu_flat=float(cfg.get("mu_flat", 0.0)),
-        jitter=float(cfg.get("jitter", 0.5)),
-        eps_multiplier=float(cfg.get("eps_multiplier", 1.0)),
-        rho=float(cfg.get("rho", 0.0)),
-        trials=int(cfg.get("trials", 100)),
-        seed=int(cfg.get("seed", 0)),
-        methods=methods,
-        estimator=cfg.get("estimator", "spacing"),
-    )
+    """The config of a simulate file: the keys it gives, and for the rest
+    id = custom, sweep = n, trials = 100 and ExperimentConfig's defaults."""
+    if "sweep_values" not in cfg:
+        raise ValueError("simulate needs sweep_values, the values of the swept setting")
+    fields = dict(id="custom", sweep="n", trials=100)
+    fields.update((key, _CUSTOM_FIELDS[key](text)) for key, text in cfg.items()
+                  if key in _CUSTOM_FIELDS)
+    if "kind" in cfg or "nodes" in cfg:
+        fields["kinds"] = _kinds(cfg.get("kind", GAUSSIAN), int(cfg.get("nodes", DEFAULT_N)))
+    return ExperimentConfig(**fields)
+
+
+def _run_sweep(config: ExperimentConfig, args, name: str) -> int:
+    """Run config into --out, else name in STARFDR_OUT_DIR, else in the
+    current directory."""
+    out = args.out or os.path.join(os.environ.get("STARFDR_OUT_DIR", "."), name)
+    rows = run_experiment(config, out_csv=out)
+    print(f"wrote {len(rows)} rows to {out}")
+    return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
     config = builtin_config(args.id, trials=args.trials, seed=args.seed)
     if args.methods:
-        config = ExperimentConfig(**{**config.__dict__, "methods": tuple(args.methods.split(","))})
-    out = args.out or os.path.join(default_output_dir(), f"experiment_{args.id}.csv")
-    rows = run_experiment(config, out_csv=out)
-    print(f"wrote {len(rows)} rows to {out}")
-    return EXIT_OK
+        config = dataclasses.replace(config, methods=_items(args.methods))
+    return _run_sweep(config, args, f"experiment_{args.id}.csv")
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _parse_config_file(args.config, _CUSTOM_KEYS)
-    config = _custom_config(cfg)
-    out = args.out or os.path.join(default_output_dir(), f"simulate_{config.id}.csv")
-    rows = run_experiment(config, out_csv=out)
-    print(f"wrote {len(rows)} rows to {out}")
-    return EXIT_OK
+    config = _custom_config(_parse_config_file(args.config, _CUSTOM_KEYS))
+    return _run_sweep(config, args, f"simulate_{config.id}.csv")
 
 
 def _cmd_optimal_region(args) -> int:
@@ -189,8 +194,7 @@ def _cmd_bench(args) -> int:
     t6 = time.perf_counter()
     alt_heterogeneity_bounds(_BOUND_NET, 0.2, deltas, lipschitz)
     t7 = time.perf_counter()
-    run_experiment(ExperimentConfig(**{**builtin_config("2c", trials=40).__dict__,
-                                       "sweep_values": (3,)}))
+    run_experiment(dataclasses.replace(builtin_config("2c", trials=40), sweep_values=(3,)))
     t8 = time.perf_counter()
     print(f"bh on 1e5 p-values:     {t1 - t0:.4f} s")
     print(f"pooled protocol:        {t2 - t1:.4f} s")
@@ -209,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiment", help="run a built-in experiment sweep")
-    p_exp.add_argument("id", choices=["1", "2a", "2b", "2c", "3"])
+    p_exp.add_argument("id", choices=list(BUILTINS))
     p_exp.add_argument("--trials", type=int, default=1000)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--out", default=None)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +46,10 @@ CSV_HEADER = [
 
 METHODS = ("no_comm", "pooled_bh", "prop_match", "greedy", "optimal")
 
-DEFAULT_ALPHA = 0.2
 DEFAULT_N = 5
-JITTER = 0.5
+
+# the field each sweep sets from its sweep values
+_SWEPT_FIELDS = {"n": "n", "eta": "mu_slope", "mu": "mu_flat", "rho": "rho"}
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,14 @@ class ExperimentConfig:
     sweep: str  # name of the swept variable: n, eta, mu, rho
     sweep_values: tuple
     n: int = 1000  # size parameter when not swept
-    n_nodes: int = DEFAULT_N
-    alpha: float = DEFAULT_ALPHA
-    kinds: tuple = (GAUSSIAN,) * DEFAULT_N
+    alpha: float = 0.2
+    kinds: tuple = (GAUSSIAN,) * DEFAULT_N  # one statistic kind per node
     # node i (1-based) has base mu = mu_flat + mu_slope * i; the swept value
     # takes mu_flat's place in a mu sweep and mu_slope's in an eta sweep
     mu_slope: float = 0.0
     mu_flat: float = 0.0
-    jitter: float = JITTER
-    eps_multiplier: float = 1.0
-    eps_scales_with_sweep: bool = False  # experiment 2a couples eps to eta
+    jitter: float = 0.5
+    eps_multiplier: float = 1.0  # an eta sweep multiplies it by eta
     rho: float = 0.0
     trials: int = 1000
     seed: int = 0
@@ -75,14 +73,19 @@ class ExperimentConfig:
     estimator: str = "spacing"
 
     def __post_init__(self):
-        if self.sweep not in ("n", "eta", "mu", "rho"):
+        if self.sweep not in _SWEPT_FIELDS:
             raise ValueError(f"unknown sweep {self.sweep!r}: sweep one of n, eta, mu, rho")
+        field = _SWEPT_FIELDS[self.sweep]
+        if getattr(self, field) != self.__dataclass_fields__[field].default:
+            raise ValueError(
+                f"sweep = {self.sweep} takes {field} from sweep_values: "
+                f"{field} = {getattr(self, field)!r} would be ignored")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if len(self.sweep_values) == 0:
             raise ValueError("sweep grid must be nonempty")
-        if len(self.kinds) != self.n_nodes:
-            raise ValueError("one statistic kind per node required")
+        if len(self.kinds) == 0:
+            raise ValueError("kinds is empty: a config needs at least one node")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         unknown = set(self.methods) - set(METHODS)
@@ -95,6 +98,10 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{'sweep value ' if swept else ''}n={n} leaves node "
                     f"{sizes.index(min(sizes)) + 1} with no p-values (sizes {sizes})")
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.kinds)
 
     def r0(self, i: int) -> float:
         """Null proportion at node i (1-based): 1 - (0.5 - (i-1)/10)."""
@@ -119,47 +126,32 @@ class ExperimentConfig:
             for i in range(1, self.n_nodes + 1)
         )
         dep = DependenceSpec(float(sweep_value) if self.sweep == "rho" else self.rho)
-
-        mult = self.eps_multiplier
-        if self.eps_scales_with_sweep:
-            mult *= float(sweep_value)
+        mult = self.eps_multiplier * (slope if self.sweep == "eta" else 1.0)
         eps = default_epsilon(self.alpha, m, mult)
         return net, sizes, dep, eps, self.jitter
 
 
+# each built-in sweep's settings beyond ExperimentConfig's defaults; a
+# simulate file with the same keys runs the same sweep
+BUILTINS = {
+    "1": dict(sweep="n", sweep_values=(100, 316, 1000, 3162, 10000, 31623, 100000),
+              mu_slope=1.25),
+    "2a": dict(sweep="eta", sweep_values=(0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)),
+    "2b": dict(sweep="mu", sweep_values=(2, 3, 4, 5, 6, 7, 8, 9, 10),
+               kinds=(CAUCHY,) * DEFAULT_N, eps_multiplier=2.5),
+    "2c": dict(sweep="mu", sweep_values=(2, 2.5, 3, 3.5, 4, 4.5, 5),
+               kinds=(CAUCHY, GAUSSIAN, CAUCHY, GAUSSIAN, CAUCHY), eps_multiplier=2.5),
+    "3": dict(sweep="rho", sweep_values=(0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9),
+              mu_slope=1.25),
+}
+
+
 def builtin_config(exp_id, trials: int = 1000, seed: int = 0) -> ExperimentConfig:
-    """The documented experiment sweeps: 1, 2a, 2b, 2c, 3."""
+    """The documented experiment sweeps: one per key of BUILTINS."""
     exp_id = str(exp_id)
-    common = dict(trials=trials, seed=seed)
-    if exp_id == "1":
-        return ExperimentConfig(
-            "1", sweep="n",
-            sweep_values=(100, 316, 1000, 3162, 10000, 31623, 100000),
-            mu_slope=1.25, **common,
-        )
-    if exp_id == "2a":
-        return ExperimentConfig(
-            "2a", sweep="eta",
-            sweep_values=(0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0),
-            eps_scales_with_sweep=True, **common,
-        )
-    if exp_id == "2b":
-        return ExperimentConfig(
-            "2b", sweep="mu", sweep_values=(2, 3, 4, 5, 6, 7, 8, 9, 10),
-            kinds=(CAUCHY,) * DEFAULT_N, eps_multiplier=2.5, **common,
-        )
-    if exp_id == "2c":
-        return ExperimentConfig(
-            "2c", sweep="mu", sweep_values=(2, 2.5, 3, 3.5, 4, 4.5, 5),
-            kinds=(CAUCHY, GAUSSIAN, CAUCHY, GAUSSIAN, CAUCHY),
-            eps_multiplier=2.5, **common,
-        )
-    if exp_id == "3":
-        return ExperimentConfig(
-            "3", sweep="rho", sweep_values=(0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9),
-            mu_slope=1.25, **common,
-        )
-    raise ValueError(f"unknown experiment id {exp_id!r}")
+    if exp_id not in BUILTINS:
+        raise ValueError(f"unknown experiment id {exp_id!r}")
+    return ExperimentConfig(exp_id, trials=trials, seed=seed, **BUILTINS[exp_id])
 
 
 @dataclass(frozen=True)
@@ -393,7 +385,3 @@ def write_csv(rows, path) -> None:
         writer.writerow(row.as_record())
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
-
-
-def default_output_dir() -> str:
-    return os.environ.get("STARFDR_OUT_DIR", ".")

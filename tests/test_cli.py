@@ -8,7 +8,7 @@ import pytest
 import starfdr as sf
 from starfdr import cli as cli_module
 from starfdr.cli import cli
-from starfdr.experiments import CSV_HEADER
+from starfdr.experiments import BUILTINS, CSV_HEADER
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -195,3 +195,104 @@ def test_simulate_empty_node_runtime_error(tmp_path, capsys):
     assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "sweep value n=2 leaves node 5 with no p-values" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _simulate_file(exp_id, settings, trials, seed):
+    """A built-in's table entry as simulate keys, lists spaced as in the README."""
+    lines = [f"id = {exp_id}", f"trials = {trials}", f"seed = {seed}"]
+    for key, value in settings.items():
+        if isinstance(value, tuple):
+            value = ", ".join(map(str, value))
+        lines.append(f"{'kind' if key == 'kinds' else key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("exp_id", list(BUILTINS))
+def test_simulate_reproduces_every_builtin(tmp_path, exp_id):
+    """Each built-in is its table entry: the entry as a simulate file writes
+    the CSV of experiment <id> byte for byte."""
+    cfg = tmp_path / "builtin.cfg"
+    cfg.write_text(_simulate_file(exp_id, BUILTINS[exp_id], trials=3, seed=5))
+    exp_out, sim_out = tmp_path / "experiment.csv", tmp_path / "simulate.csv"
+    assert cli(["experiment", exp_id, "--trials", "3", "--seed", "5", "--out", str(exp_out)]) == 0
+    assert cli(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
+    assert sim_out.read_bytes() == exp_out.read_bytes()
+
+
+def test_list_items_may_be_spaced(tmp_path, capsys):
+    """'a, b' reads as 'a,b' in every list: kind, methods, --methods."""
+    regions = []
+    for sep in (",", ", "):
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(f"q = 0.6{sep}0.4\nr0 = 0.7{sep}0.8\nmu = 2.0{sep}3.0\n"
+                       f"kind = gaussian{sep}cauchy\n")
+        assert cli(["optimal-region", "--config", str(cfg)]) == 0
+        regions.append(capsys.readouterr().out)
+    assert regions[0] == regions[1]
+
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("sweep_values = 300, 400\nkind = gaussian, cauchy, gaussian, cauchy, gaussian\n"
+                   "trials = 2\nmethods = no_comm, greedy\n")
+    out = tmp_path / "sim.csv"
+    assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [
+        ["300", "no_comm"], ["300", "greedy"], ["400", "no_comm"], ["400", "greedy"]]
+
+    out = tmp_path / "exp.csv"
+    assert cli(["experiment", "2c", "--trials", "1", "--methods", "no_comm, greedy",
+                "--out", str(out)]) == 0
+    assert {line.split(",")[1] for line in out.read_text().splitlines()[1:]} == {
+        "no_comm", "greedy"}
+
+
+@pytest.mark.parametrize("sweep, key, value, shown", [
+    ("n", "n", "500", "500"), ("eta", "mu_slope", "1", "1.0"), ("mu", "mu_flat", "3", "3.0"),
+    ("rho", "rho", "0.9", "0.9"),
+])
+def test_simulate_swept_key_refused(tmp_path, capsys, sweep, key, value, shown):
+    """A key that the sweep would replace exits 2 and names the key."""
+    cfg = tmp_path / "swept.cfg"
+    cfg.write_text(f"sweep = {sweep}\nsweep_values = 0.5\n{key} = {value}\ntrials = 2\n")
+    out = tmp_path / "swept.csv"
+    assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert (f"sweep = {sweep} takes {key} from sweep_values: {key} = {shown} "
+            "would be ignored") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_needs_sweep_values(tmp_path, capsys):
+    cfg = tmp_path / "mu.cfg"
+    cfg.write_text("sweep = mu\ntrials = 2\n")
+    out = tmp_path / "mu.csv"
+    assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "simulate needs sweep_values" in capsys.readouterr().err and not out.exists()
+
+
+def test_simulate_nodes_repeat_one_kind(tmp_path, capsys):
+    """nodes = 3 with one kind gives three nodes of that kind; a kind list
+    of another length exits 2."""
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text("sweep_values = 300\nnodes = 3\nkind = cauchy\nmu_slope = 1\n"
+                   "methods = optimal\n")
+    out = tmp_path / "three.csv"
+    assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    net = sf.NetworkModel(sf.NodeModel(m / 720, r0, sf.cauchy_alt(mu))
+                          for m, r0, mu in zip((300, 240, 180), (0.5, 0.6, 0.7), (1, 2, 3)))
+    _, fdr, power = sf.optimal_region(net, 0.2)
+    assert out.read_text().splitlines()[1].split(",")[1:5] == [
+        "optimal", f"{fdr:.10g}", "0", f"{power:.10g}"]
+    cfg.write_text("sweep_values = 300\nnodes = 3\nkind = cauchy, gaussian\n")
+    assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "kind lists 2 kinds for 3 nodes" in capsys.readouterr().err
+
+
+def test_default_output_dir(tmp_path, monkeypatch, capsys):
+    """Without --out, experiment and simulate write experiment_<id>.csv and
+    simulate_<id>.csv in STARFDR_OUT_DIR."""
+    monkeypatch.setenv("STARFDR_OUT_DIR", str(tmp_path))
+    assert cli(["experiment", "2b", "--trials", "1", "--methods", "no_comm"]) == 0
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("id = unit\nsweep_values = 300\ntrials = 1\nmethods = no_comm\n")
+    assert cli(["simulate", "--config", str(cfg)]) == 0
+    for name in ("experiment_2b.csv", "simulate_unit.csv"):
+        assert (tmp_path / name).read_text().startswith(",".join(CSV_HEADER) + "\n")

@@ -34,6 +34,10 @@ class TestBuiltinConfig:
         cfg2b = sf.builtin_config("2b")
         _, sizes, _, eps, _ = cfg2b.instantiate(4.0)
         assert eps == pytest.approx(2.5 * 0.2 / np.sqrt(int(sizes.sum())))
+        # any eta sweep scales its multiplier by eta, as 2a does
+        cfg = sf.ExperimentConfig("t", sweep="eta", sweep_values=(1.5,), eps_multiplier=2.5)
+        _, sizes, _, eps, _ = cfg.instantiate(1.5)
+        assert eps == pytest.approx(2.5 * 1.5 * 0.2 / np.sqrt(int(sizes.sum())))
 
     def test_mu_rules(self):
         net, _, _, _, _ = sf.builtin_config("1").instantiate(500)
@@ -125,7 +129,7 @@ class TestRunExperiment:
         # (with several nodes only the per-realization max bound holds, so
         # the global-null control statement is a one-node property)
         cfg = _tiny_config(mu_slope=0.0, mu_flat=0.0, jitter=0.0, trials=200,
-                           n_nodes=1, kinds=(sf.GAUSSIAN,), methods=("no_comm",))
+                           kinds=(sf.GAUSSIAN,), methods=("no_comm",))
         rows = sf.run_experiment(cfg)
         assert rows[0].fdr <= 0.25
 
@@ -178,8 +182,8 @@ def test_config_validation():
         _tiny_config(trials=0)
     with pytest.raises(ValueError):
         _tiny_config(sweep_values=())
-    with pytest.raises(ValueError):
-        _tiny_config(kinds=(sf.GAUSSIAN,))
+    with pytest.raises(ValueError, match="kinds is empty: a config needs at least one node"):
+        _tiny_config(kinds=())
 
 
 @pytest.mark.parametrize("n, node", [(1, 4), (2, 5)])
