@@ -59,11 +59,13 @@ def _kinds(text: str, n_nodes: int) -> tuple:
 
 
 # simulate's keys, each with its parser, besides kind and nodes, which
-# together give the config's kinds
+# together give the config's kinds; n reads as a number, which
+# ExperimentConfig refuses unless it is whole
 _CUSTOM_FIELDS = {
     "id": str, "sweep": str, "sweep_values": lambda text: _items(text, float),
-    "n": lambda text: int(float(text)), "alpha": float, "mu_slope": float, "mu_flat": float,
-    "jitter": float, "eps_multiplier": float, "rho": float, "trials": int, "seed": int,
+    "n": lambda text: int(text) if text.isdigit() else float(text),
+    "alpha": float, "mu_slope": float, "mu_flat": float, "jitter": float,
+    "eps_multiplier": float, "rho": float, "trials": int, "seed": int,
     "methods": _items, "estimator": str,
 }
 # the keys each config reader takes

@@ -478,6 +478,8 @@ def sample_rows(net: NetworkModel, sizes, dep: DependenceSpec, mean_jitter, rngs
         raise ValueError("sizes must provide one count per node")
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative")
+    if mean_jitter is not None and not 0.0 <= mean_jitter < np.inf:
+        raise ValueError(f"mean_jitter must be finite and nonnegative (got {mean_jitter!r})")
     t, m = len(rngs), int(counts.sum())
     cols = node_columns(counts)
     U, P = np.empty((t, m)), np.empty((t, m))
@@ -554,7 +556,8 @@ def sample_trial(
 
     When mean_jitter is set and nonzero, each node draws one location shift
     per trial uniformly within +-mean_jitter of its base mu; a jitter of 0
-    draws nothing and gives the same sample as None.  Identical seeds give
+    draws nothing and gives the same sample as None, and a negative or
+    non-finite one raises ValueError.  Identical seeds give
     identical samples.  This is sample_rows with one row.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -39,11 +40,6 @@ from .netsim import (
 from .oracleopt import optimal_region
 from .procedures import bh_threshold, estimate_levels, usable_estimates
 
-CSV_HEADER = [
-    "sweep", "method", "fdr", "fdr_se", "power", "power_se",
-    "bits_up", "bits_down", "rounds", "trials",
-]
-
 METHODS = ("no_comm", "pooled_bh", "prop_match", "greedy", "optimal")
 
 DEFAULT_N = 5
@@ -57,7 +53,7 @@ class ExperimentConfig:
     id: str
     sweep: str  # name of the swept variable: n, eta, mu, rho
     sweep_values: tuple
-    n: int = 1000  # size parameter when not swept
+    n: int = 1000  # size parameter when not swept, a whole number
     alpha: float = 0.2
     kinds: tuple = (GAUSSIAN,) * DEFAULT_N  # one statistic kind per node
     # node i (1-based) has base mu = mu_flat + mu_slope * i; the swept value
@@ -74,7 +70,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.sweep not in _SWEPT_FIELDS:
-            raise ValueError(f"unknown sweep {self.sweep!r}: sweep one of n, eta, mu, rho")
+            raise ValueError(
+                f"unknown sweep {self.sweep!r}: sweep one of {', '.join(_SWEPT_FIELDS)}")
         field = _SWEPT_FIELDS[self.sweep]
         if getattr(self, field) != self.__dataclass_fields__[field].default:
             raise ValueError(
@@ -91,13 +88,10 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
-        swept = self.sweep == "n"
-        for n in [int(v) for v in self.sweep_values] if swept else [self.n]:
-            sizes = self.sizes(n).tolist()
-            if min(sizes) < 1:
-                raise ValueError(
-                    f"{'sweep value ' if swept else ''}n={n} leaves node "
-                    f"{sizes.index(min(sizes)) + 1} with no p-values (sizes {sizes})")
+        # every sweep point resolves here, so a bad value raises before any trial runs
+        for value in self.sweep_values:
+            net = self.instantiate(value)[0]
+        make_estimator(self.estimator, net)
 
     @property
     def n_nodes(self) -> int:
@@ -113,22 +107,26 @@ class ExperimentConfig:
         )
 
     def instantiate(self, sweep_value):
-        """Resolve one sweep point into (net, sizes, dep, epsilon, jitter)."""
-        n = int(sweep_value) if self.sweep == "n" else self.n
+        """Resolve one sweep point into (net, sizes, dep, epsilon, jitter):
+        this config's fields, with the swept one set to sweep_value."""
+        setting = vars(self) | {_SWEPT_FIELDS[self.sweep]: sweep_value}
+        label = "sweep value " if self.sweep == "n" else ""
+        if not float(setting["n"]).is_integer():
+            raise ValueError(f"{label}n={setting['n']!r} is not a whole number")
+        n = int(setting["n"])
         sizes = self.sizes(n)
+        if min(sizes) < 1:
+            raise ValueError(f"{label}n={n} leaves node {sizes.argmin() + 1} with no "
+                             f"p-values (sizes {sizes.tolist()})")
         m = int(sizes.sum())
-        q = sizes / m
-
-        slope = float(sweep_value) if self.sweep == "eta" else self.mu_slope
-        flat = float(sweep_value) if self.sweep == "mu" else self.mu_flat
+        slope, flat = setting["mu_slope"], setting["mu_flat"]
         net = NetworkModel(
-            NodeModel(q[i - 1], self.r0(i), AlternativeModel(self.kinds[i - 1], flat + slope * i))
-            for i in range(1, self.n_nodes + 1)
+            NodeModel(m_i / m, self.r0(i), AlternativeModel(kind, flat + slope * i))
+            for i, (m_i, kind) in enumerate(zip(sizes, self.kinds), 1)
         )
-        dep = DependenceSpec(float(sweep_value) if self.sweep == "rho" else self.rho)
-        mult = self.eps_multiplier * (slope if self.sweep == "eta" else 1.0)
-        eps = default_epsilon(self.alpha, m, mult)
-        return net, sizes, dep, eps, self.jitter
+        eps = default_epsilon(self.alpha, m,
+                              self.eps_multiplier * (slope if self.sweep == "eta" else 1.0))
+        return net, sizes, DependenceSpec(setting["rho"]), eps, self.jitter
 
 
 # each built-in sweep's settings beyond ExperimentConfig's defaults; a
@@ -156,6 +154,8 @@ def builtin_config(exp_id, trials: int = 1000, seed: int = 0) -> ExperimentConfi
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One CSV row: the columns are these fields, in this order."""
+
     sweep: float
     method: str
     fdr: float
@@ -168,13 +168,12 @@ class ResultRow:
     trials: int
 
     def as_record(self):
-        def fmt(v):
-            return f"{v:.10g}"
-        return [
-            fmt(self.sweep), self.method, fmt(self.fdr), fmt(self.fdr_se),
-            fmt(self.power), fmt(self.power_se), fmt(self.bits_up),
-            fmt(self.bits_down), fmt(self.rounds), str(self.trials),
-        ]
+        """The row's CSV fields: a float as .10g, anything else by str."""
+        return [f"{v:.10g}" if isinstance(v, (float, np.floating)) else str(v)
+                for v in vars(self).values()]
+
+
+CSV_HEADER = [f.name for f in fields(ResultRow)]
 
 
 # elements per stacked array in one block of trials: 43 trials at m = 3,000,
@@ -188,7 +187,7 @@ class _TrialBlock:
     p-values and one estimate per row (r0, (t, n), NaN where the estimator
     failed or gave 0, by usable_estimates), each computed once."""
 
-    def __init__(self, P, N, sizes, choice, est):
+    def __init__(self, P, N, sizes, choice, est, alpha):
         cols = node_columns(sizes)
         self.P = [P[:, c] for c in cols]
         self.N = [N[:, c] for c in cols]
@@ -197,9 +196,16 @@ class _TrialBlock:
             row_estimates(choice, est, srt, i)[0] for i, srt in enumerate(self.S)
         ]))
         self.sizes = sizes
+        self.alpha = alpha
         self.m1 = np.count_nonzero(~N, axis=1)
         self._rows = P, N
         self._choice, self._est = choice, est
+
+    @cached_property
+    def levels(self):
+        """The node levels, adaptive as prop_match runs (no_comm's do not
+        depend on it), read by both methods."""
+        return estimate_levels(self.r0, self.sizes, self.alpha, adaptive=True)
 
     def pooled(self):
         """The pooled rows: (p-values, sorted, null labels, estimates), the
@@ -234,23 +240,13 @@ def _records(R, V, m1, cost):
     return rec
 
 
-def _no_comm(block, alpha, eps, cost):
-    return _local_bh(block, estimate_levels(block.r0, block.sizes, alpha).no_comm, cost)
-
-
-def _pooled_bh(block, alpha, eps, cost):
+def _pooled_bh(block, eps, cost):
     P, S, N, r0 = block.pooled()
-    level = estimate_levels(r0[:, None], [P.shape[1]], alpha).pooled_bh[:, 0]
+    level = estimate_levels(r0[:, None], [P.shape[1]], block.alpha).pooled_bh[:, 0]
     return _records(*_bh_rv(P, S, N, level), block.m1, cost)
 
 
-def _prop_match(block, alpha, eps, cost):
-    """run_proportion_matching(adaptive=True) on every row."""
-    levels = estimate_levels(block.r0, block.sizes, alpha, adaptive=True).prop_match
-    return _local_bh(block, levels, cost)
-
-
-def _greedy(block, alpha, eps, _cost):
+def _greedy(block, eps, _cost):
     """Greedy aggregation over all of a block's trials at once: each node's
     cells on the (t, n) estimate_grid from row_cells, the protocol's
     selection order per trial from greedy_rows, and the cost from the
@@ -265,7 +261,7 @@ def _greedy(block, alpha, eps, _cost):
     # that trial never selects them
     bins = {i: row_cells(block.P[i], L[:, i], K[:, i]) for i in np.flatnonzero(K.any(axis=0))}
     H = np.concatenate([np.zeros((t, 0))] + [c for _, c in bins.values()], axis=1) / (eps * m)
-    order, k, _ = greedy_rows(H, alpha)
+    order, k, _ = greedy_rows(H, block.alpha)
     chosen = np.zeros(H.shape, dtype=bool)
     np.put_along_axis(chosen, order, np.arange(H.shape[1]) < k[:, None], axis=1)
     granted = np.zeros((t, n), dtype=int)
@@ -282,26 +278,18 @@ def _greedy(block, alpha, eps, _cost):
     return _records(R, V, block.m1, np.column_stack(greedy_cost(sizes, K, granted)))
 
 
-_BATCHED = {
-    "no_comm": _no_comm,
-    "pooled_bh": _pooled_bh,
-    "prop_match": _prop_match,
-    "greedy": _greedy,
+# each simulated method: its transcript protocol on one sample (sample,
+# alpha, eps, est), and its batch form on a _TrialBlock (block, eps, cost);
+# the protocols look run_* up when called, so a replaced one is the one run
+_SIMULATED = {
+    "no_comm": (lambda s, alpha, eps, est: run_no_comm(s, alpha, est),
+                lambda block, eps, cost: _local_bh(block, block.levels.no_comm, cost)),
+    "pooled_bh": (lambda s, alpha, eps, est: run_pooled_bh(s, alpha, est), _pooled_bh),
+    "prop_match": (
+        lambda s, alpha, eps, est: run_proportion_matching(s, alpha, est, adaptive=True),
+        lambda block, eps, cost: _local_bh(block, block.levels.prop_match, cost)),
+    "greedy": (lambda s, alpha, eps, est: run_greedy_aggregation(s, alpha, eps, est), _greedy),
 }
-
-
-def _protocol_record(method, sample, alpha, eps, est):
-    """(fdp, tdp, bits_up, bits_down, rounds) of the transcript protocol."""
-    if method == "no_comm":
-        res = run_no_comm(sample, alpha, est)
-    elif method == "pooled_bh":
-        res = run_pooled_bh(sample, alpha, est)
-    elif method == "prop_match":
-        res = run_proportion_matching(sample, alpha, est, adaptive=True)
-    else:
-        res = run_greedy_aggregation(sample, alpha, eps, est)
-    ts = res.transcript
-    return (res.metrics.fdp, res.metrics.tdp, ts.bits_up, ts.bits_down, ts.rounds)
 
 
 def _simulate_point(config, s_idx, point, methods):
@@ -311,9 +299,10 @@ def _simulate_point(config, s_idx, point, methods):
     Trials run in blocks of at most BLOCK_ELEMENTS p-values per stacked
     array, drawn together by sample_rows.  Trial 0 is also drawn on its own
     by sample_trial and run through the transcript protocols, which must
-    give the same record exactly, so the check covers the block sampler
-    too.  no_comm, pooled_bh and prop_match send the same messages on every
-    trial, so their cost columns are taken from that run.
+    give the same (fdp, tdp, bits_up, bits_down, rounds) exactly, so the
+    check covers the block sampler too.  no_comm, pooled_bh and prop_match
+    send the same messages on every trial, so their cost columns are taken
+    from that run.
     """
     net, sizes, dep, eps, jitter = point
     # the resolved callable, not the name, so that the cross-check runs the
@@ -324,19 +313,20 @@ def _simulate_point(config, s_idx, point, methods):
         return np.random.default_rng(np.random.SeedSequence([config.seed, s_idx, t]))
 
     trial0 = sample_trial(net, sizes, dep, jitter, seed=rng(0))
-    reference = {
-        mth: _protocol_record(mth, trial0, config.alpha, eps, est)
-        for mth in methods
-    }
+    reference = {}
+    for mth in methods:
+        res = _SIMULATED[mth][0](trial0, config.alpha, eps, est)
+        ts = res.transcript
+        reference[mth] = (res.metrics.fdp, res.metrics.tdp, ts.bits_up, ts.bits_down, ts.rounds)
     per_block = max(1, BLOCK_ELEMENTS // int(sizes.sum()))
     out = {mth: np.empty((config.trials, 5)) for mth in methods}
     for start in range(0, config.trials, per_block):
         rngs = [rng(t) for t in range(start, min(start + per_block, config.trials))]
         P, N = sample_rows(net, sizes, dep, jitter, rngs)
-        block = _TrialBlock(P, N, sizes, config.estimator, est)
+        block = _TrialBlock(P, N, sizes, config.estimator, est, config.alpha)
         stop = start + len(rngs)
         for mth in methods:
-            out[mth][start:stop] = _BATCHED[mth](block, config.alpha, eps, reference[mth][2:])
+            out[mth][start:stop] = _SIMULATED[mth][1](block, eps, reference[mth][2:])
     for mth in methods:
         if tuple(out[mth][0].tolist()) != reference[mth]:
             raise RuntimeError(
@@ -353,7 +343,7 @@ def run_experiment(config: ExperimentConfig, out_csv=None):
     config seed; every trial counts, and an estimator that fails at a node
     falls back as the protocols do (see README, "Sweep engine")."""
     rows = []
-    sim_methods = [mth for mth in config.methods if mth != "optimal"]
+    sim_methods = [mth for mth in config.methods if mth in _SIMULATED]
     for s_idx, sweep_value in enumerate(config.sweep_values):
         point = config.instantiate(sweep_value)
         acc = _simulate_point(config, s_idx, point, sim_methods) if sim_methods else {}

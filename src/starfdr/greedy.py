@@ -220,4 +220,6 @@ def default_epsilon(alpha: float, m: int, multiplier: float = 1.0) -> float:
     """Grid parameter epsilon = multiplier * alpha / sqrt(m)."""
     if m < 1:
         raise ValueError("m must be positive")
+    if not 0.0 < multiplier < np.inf:
+        raise ValueError(f"epsilon multiplier must be positive and finite (got {multiplier!r})")
     return multiplier * alpha / np.sqrt(m)

@@ -296,3 +296,43 @@ def test_default_output_dir(tmp_path, monkeypatch, capsys):
     assert cli(["simulate", "--config", str(cfg)]) == 0
     for name in ("experiment_2b.csv", "simulate_unit.csv"):
         assert (tmp_path / name).read_text().startswith(",".join(CSV_HEADER) + "\n")
+
+
+# a simulate file per setting refused when the config is built, with its error
+BAD_FILES = {
+    "rho_1.5": ("sweep = rho\nsweep_values = 0, 1.5\n", "rho must lie in [0, 1)"),
+    "mu_inf": ("sweep = mu\nsweep_values = 2, inf\n", "mu must be finite"),
+    "unknown_kind": ("sweep_values = 300\nkind = gauss\n", "unknown alternative kind 'gauss'"),
+    "eta_-1": ("sweep = eta\nsweep_values = 1, -1\n", "epsilon multiplier must be positive"),
+    "eps_multiplier_-1": ("sweep_values = 300\neps_multiplier = -1\n",
+                          "epsilon multiplier must be positive"),
+    "sweep_n_300.9": ("sweep_values = 300.9\n", "sweep value n=300.9 is not a whole number"),
+    "n_300.9": ("sweep = mu\nsweep_values = 2\nn = 300.9\n", "n=300.9 is not a whole number"),
+    "estimator_bogus": ("sweep_values = 300\nestimator = bogus\nmethods = optimal\n",
+                        "unknown estimator choice 'bogus'"),
+}
+
+
+def _simulate_refused(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "trials = 2\n")
+    out = tmp_path / "bad.csv"
+    assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", list(BAD_FILES))
+def test_simulate_bad_setting_exits_2(tmp_path, capsys, monkeypatch, name):
+    """Exit 2 and no CSV, and no sweep point is run."""
+    def no_run(*_args, **_kw):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli_module, "run_experiment", no_run)
+    _simulate_refused(tmp_path, capsys, *BAD_FILES[name])
+
+
+def test_simulate_negative_jitter_exits_2(tmp_path, capsys):
+    """A negative jitter is refused by trial 0's draw, before any trial runs."""
+    _simulate_refused(tmp_path, capsys, "sweep_values = 300\njitter = -0.5\n",
+                      "mean_jitter must be finite and nonnegative")

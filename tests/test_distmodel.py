@@ -432,3 +432,11 @@ def test_cdf_bounds_property(mu, kind, t):
     v = sf.alt_cdf(alt, t)
     assert 0.0 <= v <= 1.0
     assert sf.alt_pdf(alt, t) >= 0.0
+
+
+@pytest.mark.parametrize("jitter", [-0.5, float("inf"), float("nan")])
+def test_bad_jitter_refused(jitter):
+    """A negative jitter would draw shifts mirrored about the base mu, and a
+    non-finite one NaN p-values; None and 0 draw no shift."""
+    with pytest.raises(ValueError, match="mean_jitter must be finite and nonnegative"):
+        sf.sample_trial(NET1, (50,), mean_jitter=jitter, seed=0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,41 @@ def test_smallest_full_sweep_value_runs():
     rows = sf.run_experiment(_tiny_config(sweep_values=(3,), trials=2))
     # the sample-free optimal row counts no trials
     assert [r.trials for r in rows] == [0 if m == "optimal" else 2 for m in sf.METHODS]
+
+
+# each setting that used to fail only inside run_experiment, if at all,
+# with the error it now raises when the config is built
+BAD_SETTINGS = {
+    "rho_1.5": (dict(sweep="rho", sweep_values=(0.0, 1.5)), r"rho must lie in \[0, 1\)"),
+    "mu_inf": (dict(sweep="mu", sweep_values=(2.0, float("inf"))), "mu must be finite"),
+    "unknown_kind": (dict(kinds=(sf.GAUSSIAN,) * 4 + ("gauss",)),
+                     "unknown alternative kind 'gauss'"),
+    "eta_-1": (dict(sweep="eta", sweep_values=(1.0, -1.0), mu_slope=0.0),
+               r"epsilon multiplier must be positive and finite \(got -1.0\)"),
+    "eps_multiplier_-1": (dict(eps_multiplier=-1.0),
+                          r"epsilon multiplier must be positive and finite \(got -1.0\)"),
+    "sweep_n_300.9": (dict(sweep_values=(400, 300.9)),
+                      "sweep value n=300.9 is not a whole number"),
+    "n_300.9": (dict(sweep="mu", sweep_values=(2.0,), n=300.9), "^n=300.9 is not a whole number"),
+    "estimator_bogus": (dict(estimator="bogus", methods=("optimal",)),
+                        "unknown estimator choice 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_SETTINGS))
+def test_bad_setting_raises_when_config_is_built(name):
+    kw, message = BAD_SETTINGS[name]
+    with pytest.raises(ValueError, match=message):
+        _tiny_config(**kw)
+
+
+def test_negative_jitter_raises_before_any_trial():
+    with pytest.raises(ValueError, match="mean_jitter must be finite and nonnegative"):
+        sf.run_experiment(_tiny_config(jitter=-0.5))
+
+
+def test_csv_columns_are_result_row_fields():
+    row = sf.ResultRow(0.5, "greedy", np.float64(1 / 3), 0.0, 2.0, 0.25, 10.0, 1e12, 3.0, 7)
+    assert sf.CSV_HEADER == [f.name for f in dataclasses.fields(sf.ResultRow)]
+    assert row.as_record() == ["0.5", "greedy", "0.3333333333", "0", "2", "0.25", "10",
+                               "1e+12", "3", "7"]

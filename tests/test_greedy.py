@@ -311,3 +311,10 @@ def test_default_epsilon():
     assert sf.default_epsilon(0.2, 10**4, 2.5) == pytest.approx(0.005)
     with pytest.raises(ValueError):
         sf.default_epsilon(0.2, 0)
+
+
+@pytest.mark.parametrize("multiplier", [0.0, -1.0, float("inf"), float("nan")])
+def test_default_epsilon_refuses_a_bad_multiplier(multiplier):
+    # an eta sweep value of at most 0 gives such a multiplier too
+    with pytest.raises(ValueError, match="epsilon multiplier must be positive and finite"):
+        sf.default_epsilon(0.2, 10**4, multiplier)

@@ -280,6 +280,19 @@ def test_dependence_regime_is_pinned():
         assert abs(rows[mth].fdr - fdr) <= 4.0 * se
 
 
+def test_small_m_regime_is_pinned():
+    # exp 1 at n = 316, m = 948: greedy's FDR sits over alpha, and falls
+    # as m grows; no_comm and prop_match sit slightly over alpha and pooled
+    # BH slightly under; values and standard errors measured at seed 1 and
+    # 2,000 trials
+    cfg = dataclasses.replace(sf.builtin_config("1", trials=2000, seed=1),
+                              sweep_values=(316,), methods=SIM)
+    rows = {r.method: r for r in sf.run_experiment(cfg)}
+    for mth, fdr, se in (("greedy", 0.2148, 0.0007), ("no_comm", 0.2040, 0.0006),
+                         ("prop_match", 0.2034, 0.0006), ("pooled_bh", 0.1978, 0.0006)):
+        assert abs(rows[mth].fdr - fdr) <= 4.0 * se
+
+
 @pytest.mark.parametrize("bad", [dict(alpha=1.5), dict(alpha=0.0), dict(methods=("bh",))])
 def test_config_errors_raise_up_front(bad):
     with pytest.raises(ValueError):
